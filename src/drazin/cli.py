@@ -24,16 +24,17 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
 from .inverses import (
     GroupIndexError,
+    _prepare,
     drazin_col,
     drazin_oracle,
     drazin_row,
     group_inverse,
-    index_of,
     verify_drazin,
 )
 from .matrices import (
@@ -43,9 +44,8 @@ from .matrices import (
     max_dimension,
     set_max_dimension,
 )
-from .minors import sum_principal_minors
 from .ode import MatrixPolynomial, ode_left_partial, ode_right_partial
-from .scalars import ONE, GaussianRational
+from .scalars import GaussianRational
 from .solvers import solve_ax, solve_axb, solve_xa
 
 EXIT_OTHER = 1
@@ -61,12 +61,17 @@ class InputError(ValueError):
     """A matrix file or option could not be read as specified."""
 
 
+_RATIONAL_TEXT = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def _component_from_json(value) -> Fraction:
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise InputError(
             "matrix components must be integers or 'p/q' strings, got %r"
             % (value,)
         )
+    if isinstance(value, str) and not _RATIONAL_TEXT.fullmatch(value):
+        raise InputError("bad rational component %r: not an integer or 'p/q'" % value)
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
@@ -169,11 +174,8 @@ def _profile_dict(profile) -> dict:
 
 
 def _denominator_of(a: CMatrix):
-    profile = index_of(a)
-    if profile.r == 0:
-        return profile, ONE
-    den = sum_principal_minors(a ** (profile.k + 1), profile.r)
-    return profile, den
+    prepared = _prepare(a)
+    return prepared.profile, prepared.denominator
 
 
 def _run_drazin(args) -> dict:
@@ -286,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-dimension",
         type=int,
         default=None,
-        help="combinatorial size guard (overrides %s)" % ENV_MAX_DIM,
+        help="size guard (overrides %s)" % ENV_MAX_DIM,
     )
     parser.add_argument(
         "--emit",
@@ -376,7 +378,9 @@ def main(argv=None) -> int:
     previous = max_dimension()
     try:
         set_max_dimension(_resolve_limit(args))
-        report = args.handler(args)
+        # rendering happens inside the contract too: a component too long
+        # for str() becomes an error report before anything is printed
+        _emit(args.handler(args), args.emit)
     except Exception as exc:  # noqa: BLE001 - every failure becomes a report
         for kind_type, kind, code in _ERROR_KINDS:
             if isinstance(exc, kind_type):
@@ -390,7 +394,6 @@ def main(argv=None) -> int:
         return code
     finally:
         set_max_dimension(previous)
-    _emit(report, args.emit)
     return 0
 
 

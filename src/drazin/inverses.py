@@ -8,19 +8,32 @@ power at which the rank stops dropping) is the unique X satisfying
 and equivalently X A^(k+1) = A^k.  For k <= 1 it is the group inverse; for
 invertible A it is the ordinary inverse.
 
-Writing r = rank A^k, entry (i, j) of X is a ratio of minor sums: the sum
-of order-r principal minors of A^(k+1) taken over the index sets through
-position i, with column i replaced by column j of A^k, divided by the sum
-of all order-r principal minors of A^(k+1).  A row-replacement dual yields
-the same matrix and is exposed separately so the two can be cross-checked.
-The same representations with A^(k+1) as the replacement source give the
-commuting projector A (Drazin inverse of A) = (Drazin inverse of A) A.
+Writing r = rank A^k and S = A^(k+1), entry (i, j) of X is a ratio of minor
+sums: the sum of order-r principal minors of S taken over the index sets
+through position i, with column i replaced by column j of A^k, divided by
+the sum c_r of all order-r principal minors of S.  A row-replacement dual
+yields the same matrix.  The same representations with S as the
+replacement source give the commuting projector A (Drazin inverse of A) =
+(Drazin inverse of A) A.
+
+All of these minor sums are entries of one matrix (Greville, "The
+Souriau-Frame algorithm and the Drazin pseudoinverse", 1973): B_(r-1), the
+coefficient of x^(n-r) in adj(x I + S).  A column-replaced sum through
+position i with replacement vector b is (B_(r-1) b)_i, a row-replaced sum
+through position j is (b B_(r-1))_j, and c_r is the matching coefficient of
+det(x I + S).  ``_prepare`` computes B_(r-1) and c_r once per matrix by the
+Faddeev-LeVerrier recurrence, from the powers the index walk already built;
+the inverses, projectors, solvers and ODE solutions all read from it.  The
+column and row forms therefore share this kernel, so their agreement checks
+associativity and commutation rather than the sums themselves; the
+independent references are ``drazin_oracle`` and the enumeration in
+``minors``, which the test suite compares against the kernel.
 
 ``drazin_oracle`` recomputes the inverse along a completely different
 route: the exact limit at 0 of (x I + A^(k+1))^-1 A^k, evaluated
 symbolically via a polynomial-entry adjugate.  It shares nothing with the
-minor-sum path beyond scalar arithmetic, which is what makes it useful as
-a reference in the test suite.
+kernel beyond the index walk and scalar arithmetic, which is what makes it
+useful as a reference in the test suite.
 """
 
 from __future__ import annotations
@@ -33,15 +46,11 @@ from .matrices import (
     ShapeError,
     check_dimension_limit,
 )
-from .minors import (
-    sum_minors_col_replaced,
-    sum_minors_row_replaced,
-    sum_principal_minors,
-)
 from .scalars import (
     GaussianRational,
     ONE,
     POLY_ONE,
+    ZERO,
     ScalarPolynomial,
     poly_limit_at_zero,
 )
@@ -79,6 +88,22 @@ def _require_square(a: CMatrix, what: str) -> None:
         raise ShapeError("%s needs a square matrix" % what)
 
 
+def _walk(a: CMatrix):
+    """(IndexProfile, A^k, A^(k+1)): the profile with the two powers the
+    walk ends on."""
+    previous_rank = a.rows
+    previous = CMatrix.identity(a.rows)
+    power = a
+    k = 0
+    while True:
+        current = power.rank()
+        if current == previous_rank:
+            return IndexProfile(k, current), previous, power
+        previous_rank, previous = current, power
+        power = power @ a
+        k += 1
+
+
 def index_of(a: CMatrix) -> IndexProfile:
     """IndexProfile(k, r) with k = Ind(A) and r = rank A^k.
 
@@ -88,56 +113,82 @@ def index_of(a: CMatrix) -> IndexProfile:
     ones k = 1.
     """
     _require_square(a, "index_of")
-    previous = a.rows
-    power = CMatrix.identity(a.rows)
-    k = 0
-    while True:
-        power = power @ a
-        current = power.rank()
-        if current == previous:
-            return IndexProfile(k, previous)
-        previous = current
-        k += 1
+    return _walk(a)[0]
 
 
-def _representation(a: CMatrix, profile: IndexProfile, method: str) -> DrazinResult:
-    n = a.rows
-    if profile.r == 0:
-        return DrazinResult(CMatrix.zeros(n, n), profile, ONE, method)
-    power_k = a ** profile.k
-    power_k1 = power_k @ a
-    den = sum_principal_minors(power_k1, profile.r)
+@dataclass(frozen=True)
+class _Prepared:
+    """One matrix ready for every determinantal formula.
+
+    ``numerator`` is B_(r-1), the coefficient of x^(n-r) in adj(x I + S)
+    with S = A^(k+1), and ``denominator`` is c_r, the sum of the order-r
+    principal minors of S.  At rank zero they are the zero matrix and 1,
+    the coefficients of x^n in adj(x I + S) and det(x I + S).
+    """
+
+    profile: IndexProfile
+    power_k: CMatrix
+    power_k1: CMatrix
+    numerator: CMatrix
+    denominator: GaussianRational
+
+    def col_form(self, source: CMatrix) -> CMatrix:
+        """Column-replaced sums over the columns of source, divided by c_r."""
+        return (self.numerator @ source) * (ONE / self.denominator)
+
+    def row_form(self, source: CMatrix) -> CMatrix:
+        """Row-replaced sums over the rows of source, divided by c_r."""
+        return (source @ self.numerator) * (ONE / self.denominator)
+
+
+def _kernel(profile: IndexProfile, power_k: CMatrix, s: CMatrix) -> _Prepared:
+    """Faddeev-LeVerrier on S: B_0 = I, c_1 = tr S, and for j >= 1
+    B_j = c_j I - S B_(j-1), c_(j+1) = tr(S B_j) / (j + 1)."""
+    n, r = s.rows, profile.r
+    if r == 0:
+        return _Prepared(profile, power_k, s, CMatrix.zeros(n, n), ONE)
+    sd = s.data
+    c = sum((sd[i][i] for i in range(n)), ZERO)
+    b = CMatrix.identity(n)
+    for j in range(1, r):
+        sb = s @ b if j > 1 else s
+        b = CMatrix(
+            [
+                [c - v if i == t else -v for t, v in enumerate(row)]
+                for i, row in enumerate(sb.data)
+            ]
+        )
+        bd = b.data
+        trace = sum((sd[i][t] * bd[t][i] for i in range(n) for t in range(n)), ZERO)
+        c = trace / (j + 1)
+    return _Prepared(profile, power_k, s, b, c)
+
+
+def _prepare(a: CMatrix) -> _Prepared:
+    """The index walk of a square matrix followed by the kernel."""
+    return _kernel(*_walk(a))
+
+
+def _representation(prepared: _Prepared, method: str) -> DrazinResult:
     if method == "column":
-        entries = [
-            [
-                sum_minors_col_replaced(power_k1, i, power_k.col(j), profile.r) / den
-                for j in range(1, n + 1)
-            ]
-            for i in range(1, n + 1)
-        ]
+        inverse = prepared.col_form(prepared.power_k)
     else:
-        entries = [
-            [
-                sum_minors_row_replaced(power_k1, j, power_k.row(i), profile.r) / den
-                for j in range(1, n + 1)
-            ]
-            for i in range(1, n + 1)
-        ]
-    return DrazinResult(CMatrix(entries), profile, den, method)
+        inverse = prepared.row_form(prepared.power_k)
+    return DrazinResult(inverse, prepared.profile, prepared.denominator, method)
 
 
 def drazin_col(a: CMatrix) -> DrazinResult:
     """Drazin inverse via the column-replacement determinantal form."""
     _require_square(a, "drazin_col")
     check_dimension_limit(a.rows)
-    return _representation(a, index_of(a), "column")
+    return _representation(_prepare(a), "column")
 
 
 def drazin_row(a: CMatrix) -> DrazinResult:
     """Drazin inverse via the row-replacement determinantal form."""
     _require_square(a, "drazin_row")
     check_dimension_limit(a.rows)
-    return _representation(a, index_of(a), "row")
+    return _representation(_prepare(a), "row")
 
 
 def group_inverse(a: CMatrix) -> DrazinResult:
@@ -148,38 +199,19 @@ def group_inverse(a: CMatrix) -> DrazinResult:
     """
     _require_square(a, "group_inverse")
     check_dimension_limit(a.rows)
-    profile = index_of(a)
-    if profile.k > 1:
+    walk = _walk(a)
+    if walk[0].k > 1:
         raise GroupIndexError("matrix has index > 1")
-    return _representation(a, profile, "column")
+    return _representation(_kernel(*walk), "column")
 
 
 def _projector(a: CMatrix, method: str) -> CMatrix:
     _require_square(a, "projector")
     check_dimension_limit(a.rows)
-    profile = index_of(a)
-    n = a.rows
-    if profile.r == 0:
-        return CMatrix.zeros(n, n)
-    power_k1 = a ** (profile.k + 1)
-    den = sum_principal_minors(power_k1, profile.r)
+    prepared = _prepare(a)
     if method == "column":
-        entries = [
-            [
-                sum_minors_col_replaced(power_k1, i, power_k1.col(j), profile.r) / den
-                for j in range(1, n + 1)
-            ]
-            for i in range(1, n + 1)
-        ]
-    else:
-        entries = [
-            [
-                sum_minors_row_replaced(power_k1, j, power_k1.row(i), profile.r) / den
-                for j in range(1, n + 1)
-            ]
-            for i in range(1, n + 1)
-        ]
-    return CMatrix(entries)
+        return prepared.col_form(prepared.power_k1)
+    return prepared.row_form(prepared.power_k1)
 
 
 def projector_col(a: CMatrix) -> CMatrix:
@@ -255,9 +287,7 @@ def drazin_oracle(a: CMatrix, power_first: bool = False) -> CMatrix:
     _require_square(a, "drazin_oracle")
     check_dimension_limit(a.rows)
     n = a.rows
-    profile = index_of(a)
-    power_k = a ** profile.k
-    s = power_k @ a
+    _, power_k, s = _walk(a)
     p = [
         [
             ScalarPolynomial((s.data[i][j], 1)) if i == j else ScalarPolynomial((s.data[i][j],))
@@ -303,8 +333,7 @@ def verify_drazin(a: CMatrix, x: CMatrix) -> DrazinAxioms:
     _require_square(a, "verify_drazin")
     if (x.rows, x.cols) != (a.rows, a.cols):
         raise ShapeError("candidate inverse must match the matrix dimensions")
-    power_k = a ** index_of(a).k
-    power_k1 = power_k @ a
+    _, power_k, power_k1 = _walk(a)
     ax = a @ x
     xa = x @ a
     return DrazinAxioms(

@@ -22,12 +22,14 @@ class ShapeError(ValueError):
 
 
 class DimensionLimitError(ValueError):
-    """A combinatorial computation was asked for above the configured size cap."""
+    """A computation was asked for above the configured size cap."""
 
 
-# Minor-sum costs grow like C(n, r), so the expensive entry points refuse
-# matrices beyond this limit unless the caller raises it explicitly
-# (set_max_dimension, or the CLI's --max-dimension / DRAZIN_MAX_DIM).
+# The entry points refuse matrices beyond this limit unless the caller
+# raises it explicitly (set_max_dimension, or the CLI's --max-dimension /
+# DRAZIN_MAX_DIM).  Their own kernel is polynomial in n; the exponential
+# cost that remains is the limit oracle's subset expansion, and that of the
+# public enumerations in ``minors``, which do not check the limit.
 DEFAULT_MAX_DIMENSION = 10
 _max_dimension = DEFAULT_MAX_DIMENSION
 
@@ -37,7 +39,7 @@ def max_dimension() -> int:
 
 
 def set_max_dimension(limit: int) -> None:
-    """Raise or lower the size cap applied by the combinatorial entry points."""
+    """Raise or lower the size cap applied by the entry points."""
     if not isinstance(limit, int) or limit < 1:
         raise ValueError("dimension limit must be a positive integer")
     global _max_dimension

@@ -11,7 +11,8 @@ Every coefficient entry is evaluated as an exact ratio of minor sums: the
 products A^D A^m B collapse to the same column-replaced sums used by the
 linear-system solvers, with the columns of A^(k+m) B substituted into
 A^(k+1).  The right-sided equation X' + XA = B is handled by the mirrored
-row-replaced sums over B A^(k+m).
+row-replaced sums over B A^(k+m).  Both read the per-matrix numerator of
+``inverses._prepare``, the kernel shared with the inverses and solvers.
 
 The residual helpers substitute a polynomial back into the equation and
 return X'(t) + AX(t) - B exactly; for the polynomials built here the
@@ -23,13 +24,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .inverses import index_of
+from .inverses import _prepare
 from .matrices import CMatrix, ShapeError, check_dimension_limit
-from .minors import (
-    sum_minors_col_replaced,
-    sum_minors_row_replaced,
-    sum_principal_minors,
-)
 from .scalars import GaussianRational, ScalarPolynomial
 
 
@@ -248,28 +244,6 @@ def _series_scale(m: int) -> GaussianRational:
     return GaussianRational(Fraction((-1) ** (m - 1), factorial(m)))
 
 
-def _col_replaced_matrix(power_k1, reduced, r, den) -> CMatrix:
-    entries = [
-        [
-            sum_minors_col_replaced(power_k1, i, reduced.col(j), r) / den
-            for j in range(1, reduced.cols + 1)
-        ]
-        for i in range(1, power_k1.rows + 1)
-    ]
-    return CMatrix(entries)
-
-
-def _row_replaced_matrix(power_k1, reduced, r, den) -> CMatrix:
-    entries = [
-        [
-            sum_minors_row_replaced(power_k1, j, reduced.row(i), r) / den
-            for j in range(1, power_k1.cols + 1)
-        ]
-        for i in range(1, reduced.rows + 1)
-    ]
-    return CMatrix(entries)
-
-
 def _check_ode_shapes(a: CMatrix, b: CMatrix, side: str) -> None:
     if not a.is_square:
         raise ShapeError("the coefficient matrix must be square")
@@ -291,44 +265,28 @@ def ode_left_partial(a: CMatrix, b: CMatrix) -> MatrixPolynomial:
     solution of the algebraic system.
     """
     _check_ode_shapes(a, b, "X' + AX = B")
-    profile = index_of(a)
-    if profile.r == 0:
-        coeffs = [CMatrix.zeros(a.rows, a.rows)]
-        coeffs += [
-            _series_scale(m) * ((a ** (m - 1)) @ b)
-            for m in range(1, profile.k + 1)
-        ]
-        return MatrixPolynomial(coeffs, rows=a.rows, cols=a.rows)
-    power_k1 = a ** (profile.k + 1)
-    den = sum_principal_minors(power_k1, profile.r)
-    hat = (a ** profile.k) @ b
-    coeffs = [_col_replaced_matrix(power_k1, hat, profile.r, den)]
-    for m in range(1, profile.k + 1):
+    prepared = _prepare(a)
+    hat = prepared.power_k @ b
+    coeffs = [prepared.col_form(hat)]
+    term = b  # A^(m-1) B
+    for m in range(1, prepared.profile.k + 1):
         hat = a @ hat
-        projected = _col_replaced_matrix(power_k1, hat, profile.r, den)
-        coeffs.append(_series_scale(m) * ((a ** (m - 1)) @ b - projected))
+        coeffs.append(_series_scale(m) * (term - prepared.col_form(hat)))
+        term = a @ term
     return MatrixPolynomial(coeffs, rows=a.rows, cols=a.rows)
 
 
 def ode_right_partial(a: CMatrix, b: CMatrix) -> MatrixPolynomial:
     """Partial polynomial solution of X' + XA = B, via row-replaced sums."""
     _check_ode_shapes(a, b, "X' + XA = B")
-    profile = index_of(a)
-    if profile.r == 0:
-        coeffs = [CMatrix.zeros(a.rows, a.rows)]
-        coeffs += [
-            _series_scale(m) * (b @ (a ** (m - 1)))
-            for m in range(1, profile.k + 1)
-        ]
-        return MatrixPolynomial(coeffs, rows=a.rows, cols=a.rows)
-    power_k1 = a ** (profile.k + 1)
-    den = sum_principal_minors(power_k1, profile.r)
-    check = b @ (a ** profile.k)
-    coeffs = [_row_replaced_matrix(power_k1, check, profile.r, den)]
-    for m in range(1, profile.k + 1):
+    prepared = _prepare(a)
+    check = b @ prepared.power_k
+    coeffs = [prepared.row_form(check)]
+    term = b  # B A^(m-1)
+    for m in range(1, prepared.profile.k + 1):
         check = check @ a
-        projected = _row_replaced_matrix(power_k1, check, profile.r, den)
-        coeffs.append(_series_scale(m) * (b @ (a ** (m - 1)) - projected))
+        coeffs.append(_series_scale(m) * (term - prepared.row_form(check)))
+        term = term @ a
     return MatrixPolynomial(coeffs, rows=a.rows, cols=a.rows)
 
 

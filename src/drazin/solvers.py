@@ -2,7 +2,10 @@
 
 Each solver returns the Drazin-inverse solution (A^D B, B A^D, or
 A^D D B^D) with every entry produced directly as an exact ratio of minor
-sums; no inverse is formed first.  The reported restriction flag states
+sums; no inverse is formed first.  The sums come from the per-matrix
+numerator B_(r-1) of ``inverses._prepare``: column-replaced sums over the
+columns of a matrix M are the entries of B_(r-1) M, row-replaced ones
+those of M B_(r-1).  The reported restriction flag states
 whether the right-hand side satisfies the range/nullspace hypotheses under
 which that matrix genuinely solves the unrestricted equation:
 
@@ -17,7 +20,9 @@ how the formulas are derived.
 The two-sided solver evaluates both available representations, one that
 reduces along B first (building the intermediate columns reported as
 ``db_columns``) and one that reduces along A first (``da_rows``), and
-checks that they agree exactly before returning.
+checks that they agree exactly before returning.  Both orders read the
+same two numerators, so the check guards the assembly, not the minor sums;
+those are checked against the enumeration in ``minors`` by the test suite.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .inverses import index_of
+from .inverses import _prepare
 from .matrices import (
     CMatrix,
     IndexProfile,
@@ -34,12 +39,7 @@ from .matrices import (
     nullspace_contained,
     range_contained,
 )
-from .minors import (
-    sum_minors_col_replaced,
-    sum_minors_row_replaced,
-    sum_principal_minors,
-)
-from .scalars import GaussianRational, ONE, ZERO
+from .scalars import GaussianRational, ONE
 
 
 @dataclass(frozen=True)
@@ -68,23 +68,10 @@ def solve_ax(a: CMatrix, b: CMatrix) -> SolveReport:
     if b.rows != a.rows:
         raise ShapeError("right-hand side must have as many rows as A")
     check_dimension_limit(a.rows)
-    profile = index_of(a)
-    n, m = a.rows, b.cols
-    power_k = a ** profile.k
-    flag = range_contained(b, power_k)
-    if profile.r == 0:
-        return SolveReport(CMatrix.zeros(n, m), flag, profile, ONE)
-    power_k1 = power_k @ a
-    den = sum_principal_minors(power_k1, profile.r)
-    reduced = power_k @ b
-    entries = [
-        [
-            sum_minors_col_replaced(power_k1, i, reduced.col(j), profile.r) / den
-            for j in range(1, m + 1)
-        ]
-        for i in range(1, n + 1)
-    ]
-    return SolveReport(CMatrix(entries), flag, profile, den)
+    prepared = _prepare(a)
+    flag = range_contained(b, prepared.power_k)
+    x = prepared.col_form(prepared.power_k @ b)
+    return SolveReport(x, flag, prepared.profile, prepared.denominator)
 
 
 def solve_vector(a: CMatrix, y) -> tuple:
@@ -100,23 +87,10 @@ def solve_xa(a: CMatrix, b: CMatrix) -> SolveReport:
     if b.cols != a.rows:
         raise ShapeError("right-hand side must have as many columns as A")
     check_dimension_limit(a.rows)
-    profile = index_of(a)
-    n, m = b.rows, a.rows
-    power_k = a ** profile.k
-    flag = nullspace_contained(power_k, b)
-    if profile.r == 0:
-        return SolveReport(CMatrix.zeros(n, m), flag, profile, ONE)
-    power_k1 = power_k @ a
-    den = sum_principal_minors(power_k1, profile.r)
-    reduced = b @ power_k
-    entries = [
-        [
-            sum_minors_row_replaced(power_k1, j, reduced.row(i), profile.r) / den
-            for j in range(1, m + 1)
-        ]
-        for i in range(1, n + 1)
-    ]
-    return SolveReport(CMatrix(entries), flag, profile, den)
+    prepared = _prepare(a)
+    flag = nullspace_contained(prepared.power_k, b)
+    x = prepared.row_form(b @ prepared.power_k)
+    return SolveReport(x, flag, prepared.profile, prepared.denominator)
 
 
 def solve_axb(a: CMatrix, b: CMatrix, d: CMatrix) -> SolveReport:
@@ -134,76 +108,28 @@ def solve_axb(a: CMatrix, b: CMatrix, d: CMatrix) -> SolveReport:
             % (a.rows, b.rows, d.rows, d.cols)
         )
     check_dimension_limit(a.rows, b.rows)
-    profile_a = index_of(a)
-    profile_b = index_of(b)
-    n, m = a.rows, b.rows
-    a_pow = a ** profile_a.k
-    b_pow = b ** profile_b.k
-    a_next = a_pow @ a
-    b_next = b_pow @ b
-    den_a = sum_principal_minors(a_next, profile_a.r) if profile_a.r else ONE
-    den_b = sum_principal_minors(b_next, profile_b.r) if profile_b.r else ONE
-    den = den_a * den_b
-    reduced = a_pow @ d @ b_pow
-
-    if profile_b.r:
-        db_columns = tuple(
-            tuple(
-                sum_minors_row_replaced(b_next, j, reduced.row(l), profile_b.r)
-                for l in range(1, n + 1)
-            )
-            for j in range(1, m + 1)
-        )
-    else:
-        db_columns = tuple((ZERO,) * n for _ in range(m))
-    if profile_a.r:
-        da_rows = tuple(
-            tuple(
-                sum_minors_col_replaced(a_next, i, reduced.col(t), profile_a.r)
-                for t in range(1, m + 1)
-            )
-            for i in range(1, n + 1)
-        )
-    else:
-        da_rows = tuple((ZERO,) * m for _ in range(n))
-
-    if profile_a.r:
-        via_b = CMatrix(
-            [
-                [
-                    sum_minors_col_replaced(a_next, i, db_columns[j - 1], profile_a.r) / den
-                    for j in range(1, m + 1)
-                ]
-                for i in range(1, n + 1)
-            ]
-        )
-    else:
-        via_b = CMatrix.zeros(n, m)
-    if profile_b.r:
-        via_a = CMatrix(
-            [
-                [
-                    sum_minors_row_replaced(b_next, j, da_rows[i - 1], profile_b.r) / den
-                    for j in range(1, m + 1)
-                ]
-                for i in range(1, n + 1)
-            ]
-        )
-    else:
-        via_a = CMatrix.zeros(n, m)
+    pa = _prepare(a)
+    pb = _prepare(b)
+    den = pa.denominator * pb.denominator
+    reduced = pa.power_k @ d @ pb.power_k
+    db = reduced @ pb.numerator
+    da = pa.numerator @ reduced
+    scale = ONE / den
+    via_b = (pa.numerator @ db) * scale
+    via_a = (da @ pb.numerator) * scale
     if via_b != via_a:
         raise RuntimeError(
             "representation mismatch: the two reduction orders disagree, "
-            "which signals a bug in the minor sums"
+            "which signals a bug in the numerator assembly"
         )
 
-    flag = range_contained(d, a_pow) and nullspace_contained(b_pow, d)
+    flag = range_contained(d, pa.power_k) and nullspace_contained(pb.power_k, d)
     return SolveReport(
         via_b,
         flag,
-        profile_a,
+        pa.profile,
         den,
-        profile_b=profile_b,
-        db_columns=db_columns,
-        da_rows=da_rows,
+        profile_b=pb.profile,
+        db_columns=tuple(zip(*db.data)),
+        da_rows=da.data,
     )

@@ -136,3 +136,43 @@ def rand_nilpotent(rng, n):
         m = _conjugated(rng, block)
         if not m.is_zero:
             return m
+
+
+def reachable_profiles(max_n):
+    """Every (n, r, k) an n x n matrix can have, for n = 1..max_n.
+
+    k = 0 forces r = n (invertible); a positive index k leaves room for an
+    invertible core of any size r <= n - k beside the nilpotent part.
+    """
+    return [
+        (n, r, k)
+        for n in range(1, max_n + 1)
+        for k in range(n + 1)
+        for r in ((n,) if k == 0 else range(n - k + 1))
+    ]
+
+
+def rand_with_profile(rng, n, r, k):
+    """An n x n Gaussian-integer matrix with index exactly k and rank A^k = r.
+
+    Similarity image of diag(C, N) for any reachable profile, including
+    index 3 and above with a nonzero core: C is a random invertible r x r
+    core and N an (n - r) x (n - r) nilpotent matrix made of Jordan blocks
+    of size at most k, the first of size exactly k.  The conjugating matrix
+    is unimodular, so entries stay Gaussian integers.
+    """
+    assert (n, r, k) in reachable_profiles(n)
+    block = [[0] * n for _ in range(n)]
+    if r:
+        core = rand_invertible(rng, r)
+        for a in range(r):
+            for b in range(r):
+                block[a][b] = core.data[a][b]
+    start, size = r, k
+    while start < n:
+        for p in range(start, start + size - 1):
+            block[p][p + 1] = 1
+        start += size
+        size = rng.randint(1, min(k, n - start)) if start < n else 0
+    s, s_inv = unimodular_pair(rng, n, shears=2 * n)
+    return s @ CMatrix(block) @ s_inv

@@ -7,6 +7,7 @@ import pytest
 from drazin.cli import (
     EXIT_DIMENSION,
     EXIT_GROUP_INDEX,
+    EXIT_OTHER,
     EXIT_PARSE,
     EXIT_SHAPE,
     main,
@@ -246,3 +247,33 @@ def test_text_emit_smoke(capsys, files):
     out2 = capsys.readouterr().out
     assert code2 == EXIT_GROUP_INDEX
     assert "error" in out2
+
+
+@pytest.mark.parametrize(
+    "component",
+    ["1.5", "1_0", "1e5000", "+1", " 1", "1 ", "1/-2", "0x10", "1/2/3", "", "١"],
+)
+def test_strict_parser_rejects_text_outside_the_schema(capsys, tmp_path, component):
+    bad = tmp_path / "bad.json"
+    bad.write_text(
+        json.dumps({"rows": 1, "cols": 1, "entries": [[component, 0]]})
+    )
+    code, report = run_json(capsys, ["drazin", "--input", str(bad)])
+    assert code == EXIT_PARSE
+    assert report["error"]["kind"] == "parse"
+
+
+def test_oversized_output_becomes_an_error_report(capsys, tmp_path):
+    # X = 10^6000 has more digits than str() converts by default
+    big = "1" + "0" * 3000
+    a = tmp_path / "A.json"
+    b = tmp_path / "B.json"
+    a.write_text(json.dumps({"rows": 1, "cols": 1, "entries": [["1/" + big, 0]]}))
+    b.write_text(json.dumps({"rows": 1, "cols": 1, "entries": [[big, 0]]}))
+    code, report = run_json(capsys, ["solve-ax", "--A", str(a), "--B", str(b)])
+    assert code == EXIT_OTHER
+    assert report["error"]["kind"] == "other"
+    code2 = main(["--emit", "text", "solve-ax", "--A", str(a), "--B", str(b)])
+    out = capsys.readouterr().out
+    assert code2 == EXIT_OTHER
+    assert out.startswith("command: solve-ax\nerror:")
