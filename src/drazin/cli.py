@@ -13,7 +13,11 @@ One subcommand exists per library operation.  Reports land on stdout as
 JSON (or aligned text with --emit text) and include the index profile,
 the minor-sum denominator, restriction flags, and the intermediate
 vectors of the two-sided solver, so agreement between representations
-can be checked from the command line alone.  Failures produce a report
+can be checked from the command line alone.  Each input matrix is prepared
+(square check, size guard, index walk, kernel) once by
+``inverses._prepare``, and every part of a report, such as the three
+routes of ``drazin`` or the series, profile and denominator of
+``ode-left``, comes from that one prepared object.  Failures produce a report
 with an "error" object and a distinct exit status per failure class:
 2 for unreadable input, 3 for the dimension guard, 4 for a group-inverse
 request on a matrix of higher index, 5 for shape mismatches, 1 otherwise.
@@ -28,15 +32,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .inverses import (
-    GroupIndexError,
-    _prepare,
-    drazin_col,
-    drazin_oracle,
-    drazin_row,
-    group_inverse,
-    verify_drazin,
-)
+from .inverses import GroupIndexError, _inverse, _prepare, group_inverse, verify_drazin
 from .matrices import (
     CMatrix,
     DimensionLimitError,
@@ -44,7 +40,7 @@ from .matrices import (
     max_dimension,
     set_max_dimension,
 )
-from .ode import MatrixPolynomial, ode_left_partial, ode_right_partial
+from .ode import MatrixPolynomial, _left_series, _right_series
 from .scalars import GaussianRational
 from .solvers import solve_ax, solve_axb, solve_xa
 
@@ -86,7 +82,7 @@ def matrix_from_json(obj) -> CMatrix:
         rows, cols, entries = obj["rows"], obj["cols"], obj["entries"]
     except KeyError as exc:
         raise InputError("matrix object lacks the %s field" % exc)
-    if not (isinstance(rows, int) and isinstance(cols, int)) or rows < 1 or cols < 1:
+    if any(isinstance(v, bool) or not isinstance(v, int) or v < 1 for v in (rows, cols)):
         raise InputError("rows and cols must be positive integers")
     if not isinstance(entries, list) or len(entries) != rows * cols:
         raise InputError("expected %d entries, got %r" % (rows * cols, entries))
@@ -118,7 +114,9 @@ def load_matrix(path: str) -> CMatrix:
             payload = json.load(handle)
     except OSError as exc:
         raise InputError("cannot read %s: %s" % (path, exc))
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, UnicodeDecodeError and int()'s digit cap are
+        # ValueErrors; nesting past the recursion limit is a RecursionError
         raise InputError("%s is not valid JSON: %s" % (path, exc))
     return matrix_from_json(payload)
 
@@ -173,36 +171,16 @@ def _profile_dict(profile) -> dict:
     return {"index": profile.k, "rank": profile.r}
 
 
-def _denominator_of(a: CMatrix):
-    prepared = _prepare(a)
-    return prepared.profile, prepared.denominator
-
-
 def _run_drazin(args) -> dict:
-    a = load_matrix(args.input)
+    prepared = _prepare(load_matrix(args.input))
     methods = (
         ("column", "row", "oracle") if args.method == "all" else (args.method,)
     )
-    results = {}
-    profile = None
-    denominator = None
-    for name in methods:
-        if name == "column":
-            outcome = drazin_col(a)
-            results[name] = outcome.inverse
-            profile, denominator = outcome.profile, outcome.denominator
-        elif name == "row":
-            outcome = drazin_row(a)
-            results[name] = outcome.inverse
-            profile, denominator = outcome.profile, outcome.denominator
-        else:
-            results[name] = drazin_oracle(a)
-    if profile is None:
-        profile, denominator = _denominator_of(a)
+    results = {name: _inverse(prepared, name) for name in methods}
     report = {
         "command": "drazin",
-        "profile": _profile_dict(profile),
-        "denominator": denominator,
+        "profile": _profile_dict(prepared.profile),
+        "denominator": prepared.denominator,
         "methods": results,
         "inverse": results[methods[0]],
     }
@@ -254,14 +232,13 @@ def _run_solve_axb(args) -> dict:
 def _run_ode(command: str, args) -> dict:
     a = load_matrix(args.A)
     b = load_matrix(args.B)
-    solver = ode_left_partial if command == "ode-left" else ode_right_partial
-    solution = solver(a, b)
-    profile, denominator = _denominator_of(a)
+    series = _left_series if command == "ode-left" else _right_series
+    prepared = _prepare(a)
     return {
         "command": command,
-        "solution": solution,
-        "profile": _profile_dict(profile),
-        "denominator": denominator,
+        "solution": series(prepared, a, b),
+        "profile": _profile_dict(prepared.profile),
+        "denominator": prepared.denominator,
     }
 
 

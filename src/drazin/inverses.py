@@ -21,24 +21,29 @@ Souriau-Frame algorithm and the Drazin pseudoinverse", 1973): B_(r-1), the
 coefficient of x^(n-r) in adj(x I + S).  A column-replaced sum through
 position i with replacement vector b is (B_(r-1) b)_i, a row-replaced sum
 through position j is (b B_(r-1))_j, and c_r is the matching coefficient of
-det(x I + S).  ``_prepare`` computes B_(r-1) and c_r once per matrix by the
-Faddeev-LeVerrier recurrence, from the powers the index walk already built;
-the inverses, projectors, solvers and ODE solutions all read from it.  The
-column and row forms therefore share this kernel, so their agreement checks
-associativity and commutation rather than the sums themselves; the
-independent references are ``drazin_oracle`` and the enumeration in
-``minors``, which the test suite compares against the kernel.
+det(x I + S).  ``_prepare`` is the one way into a matrix for every guarded
+entry point here and in ``solvers`` and ``ode``: it checks that the matrix
+is square and within the size cap, walks its powers to the index, and then,
+on first use, computes B_(r-1) and c_r by the Faddeev-LeVerrier recurrence
+from the powers the walk ended on.  ``index_of`` and ``verify_drazin`` are
+not guarded.  The column and row forms therefore share this kernel, so
+their agreement checks associativity and commutation rather than the sums
+themselves; the independent references are ``drazin_oracle`` and the
+enumeration in ``minors``, which the test suite compares against the
+kernel.
 
 ``drazin_oracle`` recomputes the inverse along a completely different
 route: the exact limit at 0 of (x I + A^(k+1))^-1 A^k, evaluated
 symbolically via a polynomial-entry adjugate.  It shares nothing with the
 kernel beyond the index walk and scalar arithmetic, which is what makes it
-useful as a reference in the test suite.
+useful as a reference in the test suite; it reads only the walk's powers
+from the prepared object, so it never triggers the kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .matrices import (
     CMatrix,
@@ -83,9 +88,9 @@ class DrazinResult:
             )
 
 
-def _require_square(a: CMatrix, what: str) -> None:
+def _require_square(a: CMatrix) -> None:
     if not a.is_square:
-        raise ShapeError("%s needs a square matrix" % what)
+        raise ShapeError("expected a square matrix, got %dx%d" % (a.rows, a.cols))
 
 
 def _walk(a: CMatrix):
@@ -112,7 +117,7 @@ def index_of(a: CMatrix) -> IndexProfile:
     most n steps.  Invertible matrices have k = 0, singular group-invertible
     ones k = 1.
     """
-    _require_square(a, "index_of")
+    _require_square(a)
     return _walk(a)[0]
 
 
@@ -120,17 +125,50 @@ def index_of(a: CMatrix) -> IndexProfile:
 class _Prepared:
     """One matrix ready for every determinantal formula.
 
-    ``numerator`` is B_(r-1), the coefficient of x^(n-r) in adj(x I + S)
-    with S = A^(k+1), and ``denominator`` is c_r, the sum of the order-r
-    principal minors of S.  At rank zero they are the zero matrix and 1,
-    the coefficients of x^n in adj(x I + S) and det(x I + S).
+    ``profile``, ``power_k`` and ``power_k1`` are what the index walk ended
+    on.  ``numerator`` is B_(r-1), the coefficient of x^(n-r) in
+    adj(x I + S) with S = A^(k+1), and ``denominator`` is c_r, the sum of
+    the order-r principal minors of S.  At rank zero they are the zero
+    matrix and 1, the coefficients of x^n in adj(x I + S) and det(x I + S).
+    Both are computed on first use, so a caller that needs only the walk
+    (the oracle, or ``group_inverse`` refusing index 2 and above) never pays
+    for them.
     """
 
     profile: IndexProfile
     power_k: CMatrix
     power_k1: CMatrix
-    numerator: CMatrix
-    denominator: GaussianRational
+
+    @cached_property
+    def numerator(self) -> CMatrix:
+        """B_(r-1) by Faddeev-LeVerrier on S: B_0 = I, and for j >= 1
+        c_j = tr(S B_(j-1)) / j, B_j = c_j I - S B_(j-1)."""
+        s, r = self.power_k1, self.profile.r
+        n = s.rows
+        if r == 0:
+            return CMatrix.zeros(n, n)
+        b = CMatrix.identity(n)
+        for j in range(1, r):
+            sb = s @ b if j > 1 else s
+            rows = sb.data
+            c = sum((rows[i][i] for i in range(n)), ZERO) / j
+            b = CMatrix(
+                [
+                    [c - v if i == t else -v for t, v in enumerate(row)]
+                    for i, row in enumerate(rows)
+                ]
+            )
+        return b
+
+    @cached_property
+    def denominator(self) -> GaussianRational:
+        """c_r = tr(S B_(r-1)) / r, without forming the product."""
+        r = self.profile.r
+        if r == 0:
+            return ONE
+        sd, bd = self.power_k1.data, self.numerator.data
+        n = len(sd)
+        return sum((sd[i][t] * bd[t][i] for i in range(n) for t in range(n)), ZERO) / r
 
     def col_form(self, source: CMatrix) -> CMatrix:
         """Column-replaced sums over the columns of source, divided by c_r."""
@@ -141,53 +179,35 @@ class _Prepared:
         return (source @ self.numerator) * (ONE / self.denominator)
 
 
-def _kernel(profile: IndexProfile, power_k: CMatrix, s: CMatrix) -> _Prepared:
-    """Faddeev-LeVerrier on S: B_0 = I, c_1 = tr S, and for j >= 1
-    B_j = c_j I - S B_(j-1), c_(j+1) = tr(S B_j) / (j + 1)."""
-    n, r = s.rows, profile.r
-    if r == 0:
-        return _Prepared(profile, power_k, s, CMatrix.zeros(n, n), ONE)
-    sd = s.data
-    c = sum((sd[i][i] for i in range(n)), ZERO)
-    b = CMatrix.identity(n)
-    for j in range(1, r):
-        sb = s @ b if j > 1 else s
-        b = CMatrix(
-            [
-                [c - v if i == t else -v for t, v in enumerate(row)]
-                for i, row in enumerate(sb.data)
-            ]
-        )
-        bd = b.data
-        trace = sum((sd[i][t] * bd[t][i] for i in range(n) for t in range(n)), ZERO)
-        c = trace / (j + 1)
-    return _Prepared(profile, power_k, s, b, c)
-
-
 def _prepare(a: CMatrix) -> _Prepared:
-    """The index walk of a square matrix followed by the kernel."""
-    return _kernel(*_walk(a))
+    """The one way into a matrix for every guarded entry point: the square
+    check, the size guard and the index walk, with the kernel to follow."""
+    _require_square(a)
+    check_dimension_limit(a.rows)
+    return _Prepared(*_walk(a))
+
+
+def _inverse(prepared: _Prepared, method: str) -> CMatrix:
+    """The Drazin inverse by one route: "column", "row" or "oracle"."""
+    if method == "column":
+        return prepared.col_form(prepared.power_k)
+    if method == "row":
+        return prepared.row_form(prepared.power_k)
+    return _limit(prepared)
 
 
 def _representation(prepared: _Prepared, method: str) -> DrazinResult:
-    if method == "column":
-        inverse = prepared.col_form(prepared.power_k)
-    else:
-        inverse = prepared.row_form(prepared.power_k)
+    inverse = _inverse(prepared, method)
     return DrazinResult(inverse, prepared.profile, prepared.denominator, method)
 
 
 def drazin_col(a: CMatrix) -> DrazinResult:
     """Drazin inverse via the column-replacement determinantal form."""
-    _require_square(a, "drazin_col")
-    check_dimension_limit(a.rows)
     return _representation(_prepare(a), "column")
 
 
 def drazin_row(a: CMatrix) -> DrazinResult:
     """Drazin inverse via the row-replacement determinantal form."""
-    _require_square(a, "drazin_row")
-    check_dimension_limit(a.rows)
     return _representation(_prepare(a), "row")
 
 
@@ -197,33 +217,24 @@ def group_inverse(a: CMatrix) -> DrazinResult:
     Raises GroupIndexError for matrices of index 2 or more, where no group
     inverse exists.
     """
-    _require_square(a, "group_inverse")
-    check_dimension_limit(a.rows)
-    walk = _walk(a)
-    if walk[0].k > 1:
-        raise GroupIndexError("matrix has index > 1")
-    return _representation(_kernel(*walk), "column")
-
-
-def _projector(a: CMatrix, method: str) -> CMatrix:
-    _require_square(a, "projector")
-    check_dimension_limit(a.rows)
     prepared = _prepare(a)
-    if method == "column":
-        return prepared.col_form(prepared.power_k1)
-    return prepared.row_form(prepared.power_k1)
+    if prepared.profile.k > 1:
+        raise GroupIndexError("matrix has index > 1")
+    return _representation(prepared, "column")
 
 
 def projector_col(a: CMatrix) -> CMatrix:
     """(Drazin inverse of A) A, the projector onto the range of A^k along
     its nullspace, via the column determinantal form."""
-    return _projector(a, "column")
+    prepared = _prepare(a)
+    return prepared.col_form(prepared.power_k1)
 
 
 def projector_row(a: CMatrix) -> CMatrix:
     """A (Drazin inverse of A), the same projector (the two products agree
     by the commutation identity), via the row determinantal form."""
-    return _projector(a, "row")
+    prepared = _prepare(a)
+    return prepared.row_form(prepared.power_k1)
 
 
 # --- the symbolic-limit oracle ---
@@ -284,10 +295,13 @@ def drazin_oracle(a: CMatrix, power_first: bool = False) -> CMatrix:
     the reversed product A^k (x I + A^(k+1))^-1 instead; both orderings
     converge to the same matrix.
     """
-    _require_square(a, "drazin_oracle")
-    check_dimension_limit(a.rows)
-    n = a.rows
-    _, power_k, s = _walk(a)
+    return _limit(_prepare(a), power_first)
+
+
+def _limit(prepared: _Prepared, power_first: bool = False) -> CMatrix:
+    """The oracle's limit, from the walk's powers alone (never the kernel)."""
+    power_k, s = prepared.power_k, prepared.power_k1
+    n = s.rows
     p = [
         [
             ScalarPolynomial((s.data[i][j], 1)) if i == j else ScalarPolynomial((s.data[i][j],))
@@ -330,7 +344,7 @@ class DrazinAxioms:
 
 def verify_drazin(a: CMatrix, x: CMatrix) -> DrazinAxioms:
     """Check the Drazin axioms exactly, with k = Ind(A)."""
-    _require_square(a, "verify_drazin")
+    _require_square(a)
     if (x.rows, x.cols) != (a.rows, a.cols):
         raise ShapeError("candidate inverse must match the matrix dimensions")
     _, power_k, power_k1 = _walk(a)

@@ -27,9 +27,12 @@ class DimensionLimitError(ValueError):
 
 # The entry points refuse matrices beyond this limit unless the caller
 # raises it explicitly (set_max_dimension, or the CLI's --max-dimension /
-# DRAZIN_MAX_DIM).  Their own kernel is polynomial in n; the exponential
-# cost that remains is the limit oracle's subset expansion, and that of the
-# public enumerations in ``minors``, which do not check the limit.
+# DRAZIN_MAX_DIM).  The one check is in ``inverses._prepare``, which every
+# guarded entry point of ``inverses``, ``solvers`` and ``ode`` goes
+# through; ``index_of`` and ``verify_drazin`` are not guarded.  The kernel
+# is polynomial in n; the exponential cost that remains is the limit
+# oracle's subset expansion, and that of the public enumerations in
+# ``minors``, which do not check the limit.
 DEFAULT_MAX_DIMENSION = 10
 _max_dimension = DEFAULT_MAX_DIMENSION
 

@@ -12,7 +12,11 @@ products A^D A^m B collapse to the same column-replaced sums used by the
 linear-system solvers, with the columns of A^(k+m) B substituted into
 A^(k+1).  The right-sided equation X' + XA = B is handled by the mirrored
 row-replaced sums over B A^(k+m).  Both read the per-matrix numerator of
-``inverses._prepare``, the kernel shared with the inverses and solvers.
+``inverses._prepare``, the kernel shared with the inverses and solvers,
+which also applies the square check and the size cap to A.  The series
+themselves (``_left_series``, ``_right_series``) take the prepared object,
+so the command line can report the profile and denominator from the same
+one.
 
 The residual helpers substitute a polynomial back into the equation and
 return X'(t) + AX(t) - B exactly; for the polynomials built here the
@@ -24,8 +28,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .inverses import _prepare
-from .matrices import CMatrix, ShapeError, check_dimension_limit
+from .inverses import _Prepared, _prepare
+from .matrices import CMatrix, ShapeError
 from .scalars import GaussianRational, ScalarPolynomial
 
 
@@ -244,15 +248,12 @@ def _series_scale(m: int) -> GaussianRational:
     return GaussianRational(Fraction((-1) ** (m - 1), factorial(m)))
 
 
-def _check_ode_shapes(a: CMatrix, b: CMatrix, side: str) -> None:
-    if not a.is_square:
-        raise ShapeError("the coefficient matrix must be square")
+def _check_rhs(a: CMatrix, b: CMatrix, side: str) -> None:
     if b.rows != a.rows or b.cols != a.rows:
         raise ShapeError(
             "the right-hand side of %s must match the coefficient matrix"
             % side
         )
-    check_dimension_limit(a.rows)
 
 
 def ode_left_partial(a: CMatrix, b: CMatrix) -> MatrixPolynomial:
@@ -264,8 +265,17 @@ def ode_left_partial(a: CMatrix, b: CMatrix) -> MatrixPolynomial:
     exceeds the index of A, and an invertible A yields the constant
     solution of the algebraic system.
     """
-    _check_ode_shapes(a, b, "X' + AX = B")
-    prepared = _prepare(a)
+    return _left_series(_prepare(a), a, b)
+
+
+def ode_right_partial(a: CMatrix, b: CMatrix) -> MatrixPolynomial:
+    """Partial polynomial solution of X' + XA = B, via row-replaced sums."""
+    return _right_series(_prepare(a), a, b)
+
+
+def _left_series(prepared: _Prepared, a: CMatrix, b: CMatrix) -> MatrixPolynomial:
+    """ode_left_partial from A's prepared object."""
+    _check_rhs(a, b, "X' + AX = B")
     hat = prepared.power_k @ b
     coeffs = [prepared.col_form(hat)]
     term = b  # A^(m-1) B
@@ -276,10 +286,9 @@ def ode_left_partial(a: CMatrix, b: CMatrix) -> MatrixPolynomial:
     return MatrixPolynomial(coeffs, rows=a.rows, cols=a.rows)
 
 
-def ode_right_partial(a: CMatrix, b: CMatrix) -> MatrixPolynomial:
-    """Partial polynomial solution of X' + XA = B, via row-replaced sums."""
-    _check_ode_shapes(a, b, "X' + XA = B")
-    prepared = _prepare(a)
+def _right_series(prepared: _Prepared, a: CMatrix, b: CMatrix) -> MatrixPolynomial:
+    """ode_right_partial from A's prepared object."""
+    _check_rhs(a, b, "X' + XA = B")
     check = b @ prepared.power_k
     coeffs = [prepared.row_form(check)]
     term = b  # B A^(m-1)

@@ -220,7 +220,6 @@ class GaussianRational:
 
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
-IMAG_UNIT = GaussianRational(0, 1)
 
 
 class ScalarPolynomial:
@@ -358,7 +357,6 @@ class ScalarPolynomial:
         return "ScalarPolynomial(%s)" % (list(map(str, self._coeffs)),)
 
 
-POLY_ZERO = ScalarPolynomial()
 POLY_ONE = ScalarPolynomial((1,))
 
 

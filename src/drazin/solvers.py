@@ -5,7 +5,9 @@ A^D D B^D) with every entry produced directly as an exact ratio of minor
 sums; no inverse is formed first.  The sums come from the per-matrix
 numerator B_(r-1) of ``inverses._prepare``: column-replaced sums over the
 columns of a matrix M are the entries of B_(r-1) M, row-replaced ones
-those of M B_(r-1).  The reported restriction flag states
+those of M B_(r-1).  ``_prepare`` also applies the square check and the
+size cap to each coefficient matrix; the solvers check only that the
+right-hand side fits.  The reported restriction flag states
 whether the right-hand side satisfies the range/nullspace hypotheses under
 which that matrix genuinely solves the unrestricted equation:
 
@@ -15,7 +17,9 @@ which that matrix genuinely solves the unrestricted equation:
 
 When a flag is false the returned matrix still solves the power-restricted
 version of the system (with A^(k+1) X = A^k B and its analogues), which is
-how the formulas are derived.
+how the formulas are derived.  The flags compare the rank of A^k stacked
+with the right-hand side against r = rank A^k, which the walk already
+knows.
 
 The two-sided solver evaluates both available representations, one that
 reduces along B first (building the intermediate columns reported as
@@ -31,14 +35,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .inverses import _prepare
-from .matrices import (
-    CMatrix,
-    IndexProfile,
-    ShapeError,
-    check_dimension_limit,
-    nullspace_contained,
-    range_contained,
-)
+from .matrices import CMatrix, IndexProfile, ShapeError, hstack, vstack
 from .scalars import GaussianRational, ONE
 
 
@@ -63,13 +60,10 @@ class SolveReport:
 
 def solve_ax(a: CMatrix, b: CMatrix) -> SolveReport:
     """Solve A X = B for the Drazin solution X = (Drazin inverse of A) B."""
-    if not a.is_square:
-        raise ShapeError("solve_ax needs a square coefficient matrix")
     if b.rows != a.rows:
         raise ShapeError("right-hand side must have as many rows as A")
-    check_dimension_limit(a.rows)
     prepared = _prepare(a)
-    flag = range_contained(b, prepared.power_k)
+    flag = hstack(prepared.power_k, b).rank() == prepared.profile.r
     x = prepared.col_form(prepared.power_k @ b)
     return SolveReport(x, flag, prepared.profile, prepared.denominator)
 
@@ -82,13 +76,10 @@ def solve_vector(a: CMatrix, y) -> tuple:
 
 def solve_xa(a: CMatrix, b: CMatrix) -> SolveReport:
     """Solve X A = B for the Drazin solution X = B (Drazin inverse of A)."""
-    if not a.is_square:
-        raise ShapeError("solve_xa needs a square coefficient matrix")
     if b.cols != a.rows:
         raise ShapeError("right-hand side must have as many columns as A")
-    check_dimension_limit(a.rows)
     prepared = _prepare(a)
-    flag = nullspace_contained(prepared.power_k, b)
+    flag = vstack(prepared.power_k, b).rank() == prepared.profile.r
     x = prepared.row_form(b @ prepared.power_k)
     return SolveReport(x, flag, prepared.profile, prepared.denominator)
 
@@ -100,14 +91,11 @@ def solve_axb(a: CMatrix, b: CMatrix, d: CMatrix) -> SolveReport:
     vectors of each (the columns built through B's minors and the rows built
     through A's minors) are returned in the report.
     """
-    if not a.is_square or not b.is_square:
-        raise ShapeError("solve_axb needs square outer coefficient matrices")
     if (d.rows, d.cols) != (a.rows, b.rows):
         raise ShapeError(
             "right-hand side must be %dx%d, got %dx%d"
             % (a.rows, b.rows, d.rows, d.cols)
         )
-    check_dimension_limit(a.rows, b.rows)
     pa = _prepare(a)
     pb = _prepare(b)
     den = pa.denominator * pb.denominator
@@ -123,7 +111,10 @@ def solve_axb(a: CMatrix, b: CMatrix, d: CMatrix) -> SolveReport:
             "which signals a bug in the numerator assembly"
         )
 
-    flag = range_contained(d, pa.power_k) and nullspace_contained(pb.power_k, d)
+    flag = (
+        hstack(pa.power_k, d).rank() == pa.profile.r
+        and vstack(pb.power_k, d).rank() == pb.profile.r
+    )
     return SolveReport(
         via_b,
         flag,

@@ -68,6 +68,7 @@ def test_schema_accepts_ints_and_fraction_strings():
         {"rows": 1, "cols": 1, "entries": [["1/0", 0]]},
         {"rows": 2, "cols": 2, "entries": [[1, 0]]},
         {"rows": 1, "cols": 1, "entries": [[True, 0]]},
+        {"rows": True, "cols": True, "entries": [[1, 0]]},
     ],
 )
 def test_schema_rejects_malformed_payloads(payload):
@@ -201,6 +202,23 @@ def test_parse_failure_exit_code(capsys, tmp_path):
     assert report["error"]["kind"] == "parse"
     code2, report2 = run_json(capsys, ["drazin", "--input", str(tmp_path / "no.json")])
     assert code2 == EXIT_PARSE
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b'{"rows": 1, "cols": 1, "entries": [[1' + b"0" * 5000 + b', 0]]}',
+        b'{"rows": 1, "cols": 1, "entries": [["\xff", 0]]}',
+        b"[" * 100000 + b"]" * 100000,
+    ],
+    ids=["over-4300-digit-integer", "not-utf-8", "nested-too-deep"],
+)
+def test_undecodable_input_is_a_parse_failure(capsys, tmp_path, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    code, report = run_json(capsys, ["drazin", "--input", str(bad)])
+    assert code == EXIT_PARSE
+    assert report["error"]["kind"] == "parse"
 
 
 def test_dimension_guard_exit_code(capsys, tmp_path):

@@ -1,0 +1,121 @@
+"""Every guarded entry point goes through one prepared object per input.
+
+The square check and the size cap apply to each public function that
+walks or inverts a coefficient matrix; ``index_of`` and ``verify_drazin``
+stay unguarded.  The oracle and a refused group inverse read only the
+walk, never the kernel.  Through the command line, each input matrix is
+walked once, whatever the subcommand reports from it.
+"""
+
+import json
+
+import pytest
+
+from drazin import inverses
+from drazin.cli import main, matrix_to_json
+from drazin.inverses import (
+    GroupIndexError,
+    drazin_col,
+    drazin_oracle,
+    drazin_row,
+    group_inverse,
+    index_of,
+    projector_col,
+    projector_row,
+    verify_drazin,
+)
+from drazin.matrices import CMatrix, DimensionLimitError, ShapeError, max_dimension
+from drazin.ode import ode_left_partial, ode_right_partial
+from drazin.solvers import solve_ax, solve_axb, solve_xa
+
+from helpers import A_IDX2, B_GRP, D_RHS
+
+# each path takes the guarded coefficient; the other operands are shaped to
+# fit it, so a failure can only come from the coefficient itself
+GUARDED = {
+    "drazin_col": drazin_col,
+    "drazin_row": drazin_row,
+    "group_inverse": group_inverse,
+    "projector_col": projector_col,
+    "projector_row": projector_row,
+    "drazin_oracle": drazin_oracle,
+    "solve_ax": lambda a: solve_ax(a, CMatrix.zeros(a.rows, 1)),
+    "solve_xa": lambda a: solve_xa(a, CMatrix.zeros(1, a.rows)),
+    "solve_axb[A]": lambda a: solve_axb(
+        a, CMatrix.identity(2), CMatrix.zeros(a.rows, 2)
+    ),
+    "solve_axb[B]": lambda b: solve_axb(
+        CMatrix.identity(2), b, CMatrix.zeros(2, b.rows)
+    ),
+    "ode_left_partial": lambda a: ode_left_partial(a, CMatrix.zeros(a.rows, a.rows)),
+    "ode_right_partial": lambda a: ode_right_partial(a, CMatrix.zeros(a.rows, a.rows)),
+}
+
+# full row rank, so an unguarded index walk would stop at once without error
+WIDE = CMatrix([[1, 0, 0], [0, 1, 0]])
+
+
+@pytest.mark.parametrize("path", sorted(GUARDED))
+def test_every_guarded_path_checks_size_and_shape(path):
+    call = GUARDED[path]
+    n = max_dimension() + 1
+    with pytest.raises(DimensionLimitError):
+        call(CMatrix.identity(n))
+    with pytest.raises(ShapeError):
+        call(WIDE)
+
+
+def test_index_and_verification_are_unguarded():
+    big = CMatrix.identity(max_dimension() + 1)
+    assert index_of(big).r == big.rows
+    assert verify_drazin(big, big).all_hold
+
+
+def test_oracle_and_group_refusal_never_compute_the_kernel(monkeypatch):
+    def no_kernel(self):
+        raise AssertionError("the kernel was computed")
+
+    monkeypatch.setattr(inverses._Prepared, "numerator", property(no_kernel))
+    monkeypatch.setattr(inverses._Prepared, "denominator", property(no_kernel))
+    with pytest.raises(GroupIndexError):
+        group_inverse(A_IDX2)
+    assert drazin_oracle(A_IDX2) == drazin_oracle(A_IDX2, power_first=True)
+
+
+def write_matrix(path, matrix):
+    path.write_text(json.dumps(matrix_to_json(matrix)))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv, walked",
+    [
+        pytest.param(["drazin", "--input", "{A}"], [A_IDX2], id="drazin"),
+        pytest.param(
+            ["drazin", "--input", "{A}", "--method", "oracle"], [A_IDX2], id="oracle"
+        ),
+        pytest.param(["ode-left", "--A", "{A}", "--B", "{D}"], [A_IDX2], id="ode-left"),
+        pytest.param(["ode-right", "--A", "{A}", "--B", "{D}"], [A_IDX2], id="ode-right"),
+        pytest.param(
+            ["solve-axb", "--A", "{A}", "--B", "{B}", "--D", "{D}"],
+            [A_IDX2, B_GRP],
+            id="solve-axb",
+        ),
+    ],
+)
+def test_cli_walks_each_input_once(capsys, monkeypatch, tmp_path, argv, walked):
+    files = {
+        name: write_matrix(tmp_path / (name + ".json"), m)
+        for name, m in (("A", A_IDX2), ("B", B_GRP), ("D", D_RHS))
+    }
+    seen = []
+    original = inverses._walk
+
+    def counting_walk(a):
+        seen.append(a)
+        return original(a)
+
+    monkeypatch.setattr(inverses, "_walk", counting_walk)
+    assert main([arg.format(**files) for arg in argv]) == 0
+    capsys.readouterr()
+    assert seen == walked
