@@ -4,10 +4,13 @@ Matrices travel as JSON objects
 
     {"rows": 2, "cols": 2, "entries": [[re, im], [re, im], ...]}
 
-with the entries flattened row by row; each component is an integer or a
-"p/q" string, and output components are always strings so every scalar
-survives a round trip exactly.  Polynomial results carry their coefficient
-matrices under the same schema next to a variable tag.
+with the entries flattened row by row; each component is a JSON integer or
+a "p/q" string, read by ``GaussianRational.parse`` in the one grammar of
+``drazin.scalars`` that the library uses too.  Output components are
+always strings so every scalar survives a round trip exactly.  Polynomial
+results carry their coefficient matrices under the same schema next to a
+variable tag.  Error messages name a bad value by its type and length and
+quote at most a short prefix of it.
 
 One subcommand exists per library operation.  Reports land on stdout as
 JSON (or aligned text with --emit text) and include the index profile,
@@ -28,9 +31,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
-from fractions import Fraction
 
 from .inverses import GroupIndexError, _inverse, _prepare, group_inverse, verify_drazin
 from .matrices import (
@@ -57,27 +58,17 @@ class InputError(ValueError):
     """A matrix file or option could not be read as specified."""
 
 
-_RATIONAL_TEXT = re.compile(r"-?[0-9]+(/[0-9]+)?")
-
-
-def _component_from_json(value) -> Fraction:
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise InputError(
-            "matrix components must be integers or 'p/q' strings, got %r"
-            % (value,)
-        )
-    if isinstance(value, str) and not _RATIONAL_TEXT.fullmatch(value):
-        raise InputError("bad rational component %r: not an integer or 'p/q'" % value)
-    try:
-        return Fraction(value)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError("bad rational component %r: %s" % (value, exc))
+def _describe(value) -> str:
+    """Name a JSON value by its type and length, never by its content."""
+    if isinstance(value, (list, dict, str)):
+        return "a %s of length %d" % (type(value).__name__, len(value))
+    return "a %s" % type(value).__name__
 
 
 def matrix_from_json(obj) -> CMatrix:
     """Build a matrix from the JSON schema, validating every field."""
     if not isinstance(obj, dict):
-        raise InputError("a matrix must be a JSON object")
+        raise InputError("a matrix must be a JSON object, got %s" % _describe(obj))
     try:
         rows, cols, entries = obj["rows"], obj["cols"], obj["entries"]
     except KeyError as exc:
@@ -85,16 +76,20 @@ def matrix_from_json(obj) -> CMatrix:
     if any(isinstance(v, bool) or not isinstance(v, int) or v < 1 for v in (rows, cols)):
         raise InputError("rows and cols must be positive integers")
     if not isinstance(entries, list) or len(entries) != rows * cols:
-        raise InputError("expected %d entries, got %r" % (rows * cols, entries))
+        raise InputError("expected %d entries, got %s" % (rows * cols, _describe(entries)))
     scalars = []
-    for pair in entries:
+    for position, pair in enumerate(entries, 1):
         if not isinstance(pair, list) or len(pair) != 2:
-            raise InputError("each entry must be a [re, im] pair, got %r" % (pair,))
-        scalars.append(
-            GaussianRational(
-                _component_from_json(pair[0]), _component_from_json(pair[1])
-            )
-        )
+            raise InputError("each entry must be a [re, im] pair, got %s" % _describe(pair))
+        if any(isinstance(v, bool) or not isinstance(v, (int, str)) for v in pair):
+            kinds = " and ".join(map(_describe, pair))
+            raise InputError("components must be integers or 'p/q' strings, got %s" % kinds)
+        try:
+            scalars.append(GaussianRational.parse(pair))
+        except ZeroDivisionError:
+            raise InputError("entry %d has a zero denominator" % position)
+        except (TypeError, ValueError) as exc:
+            raise InputError("entry %d: %s" % (position, exc))
     data = [scalars[i * cols : (i + 1) * cols] for i in range(rows)]
     return CMatrix(data)
 

@@ -43,7 +43,7 @@ def max_dimension() -> int:
 
 def set_max_dimension(limit: int) -> None:
     """Raise or lower the size cap applied by the entry points."""
-    if not isinstance(limit, int) or limit < 1:
+    if isinstance(limit, bool) or not isinstance(limit, int) or limit < 1:
         raise ValueError("dimension limit must be a positive integer")
     global _max_dimension
     _max_dimension = limit

@@ -5,6 +5,12 @@ imaginary parts are rational.  ``fractions.Fraction`` supplies
 arbitrary-precision components, so no operation ever rounds.
 ``ScalarPolynomial`` adds the small amount of univariate polynomial
 arithmetic needed to take exact limits of rational matrix expressions at 0.
+
+The package's one scalar text grammar, shared by library and CLI: a
+component is ``-?[0-9]+(/[0-9]+)?`` in ASCII digits; a scalar is a real
+component, an imaginary part (``i``, ``-i``, ``3i``, ``-1/2*i``), or both
+joined by ``+`` or ``-`` (``1/2-3/4*i``).  No spaces, leading ``+``,
+decimals or exponents; ``bool`` is refused like ``float``.
 """
 
 from __future__ import annotations
@@ -13,13 +19,29 @@ import re as _re
 from fractions import Fraction
 
 
+_UNSIGNED = r"[0-9]+(?:/[0-9]+)?"
+_COMPONENT_TEXT = _re.compile("-?" + _UNSIGNED)
+# the imaginary sign is '+' or '-' after a real part, else an optional '-'
+_SCALAR_TEXT = _re.compile(
+    r"(?P<re>-?{0})?(?:(?P<sign>(?(re)[+-]|-?))(?:(?P<im>{0})\*?)?i)?".format(_UNSIGNED)
+)
+
+
+def _excerpt(text, limit=40):
+    """repr of text, cut to a short prefix so errors never echo a payload."""
+    more = "... (%d characters)" % len(text) if len(text) > limit else ""
+    return repr(text[:limit]) + more
+
+
 def _component(value):
     """Turn one real component into a Fraction, refusing lossy types."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
+        if not _COMPONENT_TEXT.fullmatch(value):
+            raise ValueError("component %s is not an integer or 'p/q'" % _excerpt(value))
         return Fraction(value)
     raise TypeError(
         "cannot build an exact rational from %r; use int, Fraction or 'p/q'"
@@ -27,36 +49,16 @@ def _component(value):
     )
 
 
-_TERM_RE = _re.compile(r"[+-]?[^+-]+")
-
-
 def _parse_text(text):
-    """Parse canonical scalar text like '1/2-3/4*i' into two Fractions."""
-    s = text.strip().replace(" ", "")
-    if not s:
-        raise ValueError("empty scalar text")
-    terms = _TERM_RE.findall(s)
-    if "".join(terms) != s or not 1 <= len(terms) <= 2:
-        raise ValueError("malformed scalar text: %r" % text)
-    re_part = im_part = None
-    for term in terms:
-        if term.endswith("i"):
-            if im_part is not None:
-                raise ValueError("two imaginary terms in %r" % text)
-            body = term[:-1]
-            if body.endswith("*"):
-                body = body[:-1]
-            if body in ("", "+"):
-                im_part = Fraction(1)
-            elif body == "-":
-                im_part = Fraction(-1)
-            else:
-                im_part = Fraction(body)
-        else:
-            if re_part is not None:
-                raise ValueError("two real terms in %r" % text)
-            re_part = Fraction(term)
-    return re_part or Fraction(0), im_part or Fraction(0)
+    """Parse scalar text like '1/2-3/4*i' into two Fractions."""
+    match = _SCALAR_TEXT.fullmatch(text) if text else None
+    if match is None:
+        raise ValueError("malformed scalar text %s" % _excerpt(text))
+    real, sign, imag = match.group("re", "sign", "im")
+    if sign is None:
+        return Fraction(real), Fraction(0)
+    imag = Fraction(imag or 1)
+    return Fraction(real or 0), -imag if sign == "-" else imag
 
 
 class GaussianRational:
@@ -64,7 +66,8 @@ class GaussianRational:
 
     Instances are immutable and hashable, and arithmetic mixes freely with
     ``int`` and ``Fraction``.  Strings use the textual form ``p/q+r/s*i``
-    (either part may be omitted, ``i`` stands alone for a unit coefficient).
+    of the module docstring (either part may be omitted, ``i`` stands alone
+    for a unit coefficient); each component may also be a ``'p/q'`` string.
     ``complex`` literals are accepted only when both parts are integral, so
     fixtures can be written ``GaussianRational.parse(2 - 2j)`` without any
     risk of floating-point loss; every other float is rejected.
@@ -73,7 +76,7 @@ class GaussianRational:
     __slots__ = ("_re", "_im")
 
     def __init__(self, real=0, imag=0):
-        if isinstance(real, str) and isinstance(imag, int) and imag == 0:
+        if isinstance(real, str) and type(imag) is int and imag == 0:
             self._re, self._im = _parse_text(real)
             return
         self._re = _component(real)
@@ -123,7 +126,7 @@ class GaussianRational:
     def _coerce(value):
         if isinstance(value, GaussianRational):
             return value
-        if isinstance(value, (int, Fraction)):
+        if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
             return GaussianRational(value)
         if isinstance(value, complex):
             try:

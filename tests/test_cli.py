@@ -78,6 +78,23 @@ def test_schema_rejects_malformed_payloads(payload):
         matrix_from_json(payload)
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"rows": 2, "cols": 2, "entries": [[1, 0]] * 100000},
+        {"rows": 1, "cols": 1, "entries": [["7" * 99999 + "x", 0]]},
+        {"rows": 1, "cols": 1, "entries": [[1] * 100000]},
+    ],
+    ids=["100000-entries", "100000-character-component", "100000-element-pair"],
+)
+def test_error_messages_do_not_echo_the_payload(payload):
+    from drazin.cli import InputError
+
+    with pytest.raises(InputError) as info:
+        matrix_from_json(payload)
+    assert len(str(info.value)) < 200
+
+
 def test_drazin_command_all_methods(capsys, files):
     code, report = run_json(capsys, ["drazin", "--input", files["A"]])
     assert code == 0

@@ -220,6 +220,9 @@ def test_dimension_guard_configuration():
         matrices.set_max_dimension(matrices.DEFAULT_MAX_DIMENSION)
     with pytest.raises(ValueError):
         matrices.set_max_dimension(0)
+    with pytest.raises(ValueError):
+        matrices.set_max_dimension(True)
+    assert matrices.max_dimension() == matrices.DEFAULT_MAX_DIMENSION
 
 
 def test_printing_is_readable():

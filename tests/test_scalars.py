@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from drazin.matrices import CMatrix
 from drazin.scalars import (
     GaussianRational,
     ScalarPolynomial,
@@ -65,6 +66,38 @@ def test_parse_forms():
 def test_parse_rejects_malformed_text(bad):
     with pytest.raises(ValueError):
         G.parse(bad)
+
+
+@pytest.mark.parametrize(
+    "component",
+    ["1.5", "1_0", "1e5000", "+1", " 1", "1 ", "1/-2", "0x10", "1/2/3", "", "١", "1e10000000"],
+)
+def test_library_rejects_component_text_outside_the_schema(component):
+    # the same list the command line rejects: one grammar for both
+    with pytest.raises(ValueError):
+        G.parse([component, 0])
+    with pytest.raises(ValueError):
+        CMatrix([[component]])
+
+
+def test_bool_is_not_a_number():
+    with pytest.raises(TypeError):
+        G(True)
+    with pytest.raises(TypeError):
+        G.parse([1, False])
+    with pytest.raises(TypeError):
+        CMatrix([[True]])
+    assert G(1) != True  # noqa: E712 - comparison is the point
+
+
+def test_error_quotes_only_a_prefix_of_long_text():
+    for bad in ("9" * 100000 + "x", "i" * 100000):
+        with pytest.raises(ValueError) as info:
+            G.parse(bad)
+        assert len(str(info.value)) < 200
+        with pytest.raises(ValueError) as info:
+            G.parse([bad, 0])
+        assert len(str(info.value)) < 200
 
 
 def test_parse_rejects_wrong_sized_pair():
