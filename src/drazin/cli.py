@@ -24,6 +24,8 @@ routes of ``drazin`` or the series, profile and denominator of
 with an "error" object and a distinct exit status per failure class:
 2 for unreadable input, 3 for the dimension guard, 4 for a group-inverse
 request on a matrix of higher index, 5 for shape mismatches, 1 otherwise.
+A stdout closed by its reader ends the process quietly with status 1.  The
+size limit (``--max-dimension`` or ``DRAZIN_MAX_DIM``) is ASCII digits.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from .inverses import GroupIndexError, _inverse, _prepare, group_inverse, verify_drazin
@@ -42,7 +45,7 @@ from .matrices import (
     set_max_dimension,
 )
 from .ode import MatrixPolynomial, _left_series, _right_series
-from .scalars import GaussianRational
+from .scalars import GaussianRational, _excerpt
 from .solvers import solve_ax, solve_axb, solve_xa
 
 EXIT_OTHER = 1
@@ -52,6 +55,7 @@ EXIT_GROUP_INDEX = 4
 EXIT_SHAPE = 5
 
 ENV_MAX_DIM = "DRAZIN_MAX_DIM"
+_LIMIT_TEXT = re.compile("[0-9]+")
 
 
 class InputError(ValueError):
@@ -258,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--max-dimension",
-        type=int,
         default=None,
         help="size guard (overrides %s)" % ENV_MAX_DIM,
     )
@@ -311,29 +314,46 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_limit(text: str, source: str) -> int:
+    """A size limit: ASCII digits only, at least 1."""
+    if _LIMIT_TEXT.fullmatch(text):
+        try:
+            limit = int(text)
+        except ValueError:  # more digits than int() converts
+            pass
+        else:
+            if limit >= 1:
+                return limit
+    raise InputError("%s must be a positive integer, got %s" % (source, _excerpt(text)))
+
+
 def _resolve_limit(args) -> int:
     if args.max_dimension is not None:
-        limit = args.max_dimension
-        source = "--max-dimension"
-    else:
-        raw = os.environ.get(ENV_MAX_DIM)
-        if raw is None:
-            return max_dimension()
-        source = ENV_MAX_DIM
-        try:
-            limit = int(raw)
-        except ValueError:
-            raise InputError("%s must be an integer, got %r" % (ENV_MAX_DIM, raw))
-    if limit < 1:
-        raise InputError("%s must be a positive integer, got %d" % (source, limit))
-    return limit
+        return _parse_limit(args.max_dimension, "--max-dimension")
+    raw = os.environ.get(ENV_MAX_DIM)
+    if raw is None:
+        return max_dimension()
+    return _parse_limit(raw, ENV_MAX_DIM)
 
 
 def _emit(report: dict, mode: str) -> None:
+    # flushed here, so a closed stdout fails inside main and not at exit
     if mode == "json":
-        print(json.dumps(_jsonify(report), indent=2))
+        print(json.dumps(_jsonify(report), indent=2), flush=True)
     else:
-        print(_textify(report))
+        print(_textify(report), flush=True)
+
+
+def _discard_stdout() -> None:
+    """Point the stdout file descriptor at the null device, so the flush at
+    interpreter exit cannot fail again on a pipe whose reader is gone."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return  # not backed by a file descriptor
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 _ERROR_KINDS = (
@@ -347,12 +367,24 @@ _ERROR_KINDS = (
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    try:
+        return _run(args)
+    except BrokenPipeError:
+        # the reader closed stdout (``drazin ... | head``): no report can
+        # reach it, so end quietly
+        _discard_stdout()
+        return EXIT_OTHER
+
+
+def _run(args) -> int:
     previous = max_dimension()
     try:
         set_max_dimension(_resolve_limit(args))
         # rendering happens inside the contract too: a component too long
         # for str() becomes an error report before anything is printed
         _emit(args.handler(args), args.emit)
+    except BrokenPipeError:
+        raise
     except Exception as exc:  # noqa: BLE001 - every failure becomes a report
         for kind_type, kind, code in _ERROR_KINDS:
             if isinstance(exc, kind_type):

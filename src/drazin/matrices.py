@@ -7,12 +7,20 @@ usual mathematical convention for minors and index sets; internal storage
 is an ordinary 0-based tuple of row tuples.
 
 Determinants use fraction-free (Bareiss-style) elimination to keep the
-intermediate rationals small; rank uses plain exact Gaussian elimination.
+intermediate rationals small.  Products and ranks run on plain ``int``
+pairs: each row (and each column of a product's right factor) is scaled
+by the lcm of its denominators to Gaussian integers.  A product entry is
+then one integer dot product over q_i * p_j, and rank is Bareiss
+elimination over Z[i].  Scaling row by row, not by one lcm for the whole
+matrix, keeps the integers short when the rows' denominators differ.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from .scalars import GaussianRational, ONE, ZERO
 
@@ -55,6 +63,25 @@ def check_dimension_limit(*dims: int) -> None:
             raise DimensionLimitError(
                 "dimension %d exceeds the configured maximum %d" % (d, _max_dimension)
             )
+
+
+def _gaussian_integers(vectors):
+    """Each vector q * v with q the lcm of its component denominators, as
+    (q, real parts, imaginary parts) with plain int parts."""
+    out = []
+    for vec in vectors:
+        re = [v.re for v in vec]
+        im = [v.im for v in vec]
+        q = lcm(*[x.denominator for x in re], *[x.denominator for x in im])
+        if q == 1:
+            out.append((1, [x.numerator for x in re], [x.numerator for x in im]))
+        else:
+            out.append((
+                q,
+                [x.numerator * (q // x.denominator) for x in re],
+                [x.numerator * (q // x.denominator) for x in im],
+            ))
+    return out
 
 
 @dataclass(frozen=True)
@@ -184,11 +211,17 @@ class CMatrix:
                 "cannot multiply %dx%d by %dx%d"
                 % (self._rows, self._cols, other._rows, other._cols)
             )
-        cols = tuple(zip(*other._data))
+        right = _gaussian_integers(zip(*other._data))
         return CMatrix(
             tuple(
-                tuple(sum((a * b for a, b in zip(row, col)), ZERO) for col in cols)
-                for row in self._data
+                tuple(
+                    GaussianRational(
+                        Fraction(sum(map(mul, ar, br)) - sum(map(mul, ai, bi)), q * p),
+                        Fraction(sum(map(mul, ar, bi)) + sum(map(mul, ai, br)), q * p),
+                    )
+                    for p, br, bi in right
+                )
+                for q, ar, ai in _gaussian_integers(self._data)
             )
         )
 
@@ -236,25 +269,35 @@ class CMatrix:
         return value if sign == 1 else -value
 
     def rank(self) -> int:
-        """Rank by exact Gaussian elimination."""
-        a = [list(row) for row in self._data]
+        """Rank by fraction-free (Bareiss) elimination over the Gaussian
+        integers, after scaling each row to integer entries."""
+        rows = [(re, im) for _, re, im in _gaussian_integers(self._data)]
+        count = len(rows)
         rank = 0
+        prev_re, prev_im, norm = 1, 0, 1
         for col in range(self._cols):
-            pivot_row = None
-            for r in range(rank, self._rows):
-                if a[r][col]:
-                    pivot_row = r
+            for r in range(rank, count):
+                if rows[r][0][col] or rows[r][1][col]:
+                    rows[rank], rows[r] = rows[r], rows[rank]
                     break
-            if pivot_row is None:
+            else:
                 continue
-            a[rank], a[pivot_row] = a[pivot_row], a[rank]
-            pivot = a[rank][col]
-            for r in range(rank + 1, self._rows):
-                if a[r][col]:
-                    factor = a[r][col] / pivot
-                    a[r] = [x - factor * y for x, y in zip(a[r], a[rank])]
+            yr, yi = rows[rank]
+            pr, pi = yr[col], yi[col]
+            # x <- (pivot * x - f * y) / prev on the rows below: the division
+            # is exact (Sylvester's identity), done as multiplication by the
+            # conjugate of prev and floor division by its norm
+            for r in range(rank + 1, count):
+                xr, xi = rows[r]
+                fr, fi = xr[col], xi[col]
+                for j in range(col + 1, self._cols):
+                    nr = pr * xr[j] - pi * xi[j] - fr * yr[j] + fi * yi[j]
+                    ni = pr * xi[j] + pi * xr[j] - fr * yi[j] - fi * yr[j]
+                    xr[j] = (nr * prev_re + ni * prev_im) // norm
+                    xi[j] = (ni * prev_re - nr * prev_im) // norm
+            prev_re, prev_im, norm = pr, pi, pr * pr + pi * pi
             rank += 1
-            if rank == self._rows:
+            if rank == count:
                 break
         return rank
 

@@ -2,8 +2,8 @@
 
 Nothing here shares code with the paths under test beyond the scalar type:
 determinants come from the permutation expansion, rank from exhaustive minor
-search, nullspaces and inverses from a separate elimination written for the
-tests.
+search, products from entrywise dot products, nullspaces and inverses from a
+separate elimination written for the tests.
 """
 
 from itertools import combinations, permutations
@@ -96,6 +96,16 @@ def invert(m):
                 f = a[r][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
     return CMatrix([row[n:] for row in a])
+
+
+def product(a, b):
+    """Matrix product as entrywise GaussianRational dot products."""
+    assert a.cols == b.rows
+    return CMatrix([
+        [sum((a.data[i][t] * b.data[t][j] for t in range(a.cols)), ZERO)
+         for j in range(b.cols)]
+        for i in range(a.rows)
+    ])
 
 
 def apply_to_vector(m, vec):

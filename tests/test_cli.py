@@ -1,6 +1,11 @@
 """End-to-end tests for the command-line interface."""
 
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -265,6 +270,21 @@ def test_env_var_raises_limit(capsys, tmp_path, monkeypatch):
     assert report3["error"]["kind"] == "parse"
 
 
+@pytest.mark.parametrize("value", ["1_1", " 12 ", "+11", "\u0663", "0"])
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_size_limit_is_read_strictly(capsys, tmp_path, monkeypatch, source, value):
+    # int() reads the first four as 11, 12, 11 and 3; only ASCII [0-9]+ is taken
+    big = write_matrix(tmp_path / "big.json", CMatrix.identity(11))
+    argv = ["drazin", "--input", big]
+    if source == "flag":
+        argv = ["--max-dimension", value] + argv
+    else:
+        monkeypatch.setenv("DRAZIN_MAX_DIM", value)
+    code, report = run_json(capsys, argv)
+    assert code == EXIT_PARSE
+    assert report["error"]["kind"] == "parse"
+
+
 def test_shape_mismatch_exit_code(capsys, files, tmp_path):
     wide = write_matrix(tmp_path / "wide.json", CMatrix([[1, 2, 3], [4, 5, 6]]))
     code, report = run_json(capsys, ["drazin", "--input", wide])
@@ -312,3 +332,29 @@ def test_oversized_output_becomes_an_error_report(capsys, tmp_path):
     out = capsys.readouterr().out
     assert code2 == EXIT_OTHER
     assert out.startswith("command: solve-ax\nerror:")
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("argv", [[], ["--max-dimension", "x"]])
+def test_closed_stdout_ends_quietly(files, argv):
+    # a success report and an error report alike meet the closed pipe
+    with contextlib.redirect_stdout(_ClosedPipe()):
+        code = main(argv + ["drazin", "--input", files["B"]])
+    assert code == EXIT_OTHER
+
+
+def test_closed_pipe_process_exits_without_a_traceback(files):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "drazin.cli", "drazin", "--input", files["A"]],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()  # the reader is gone before the report is written
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == EXIT_OTHER
+    assert stderr == b""

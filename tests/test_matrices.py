@@ -1,8 +1,10 @@
 """Exact matrix arithmetic, elimination, and subspace tests."""
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from drazin import matrices
 from drazin.matrices import (
@@ -15,10 +17,10 @@ from drazin.matrices import (
     range_contained,
     vstack,
 )
-from drazin.scalars import GaussianRational as G
+from drazin.scalars import ZERO, GaussianRational as G
 
 from helpers import A_IDX2, B_GRP, D_RHS, rand_matrix, rand_singular
-from oracles import apply_to_vector, minor_rank, nullspace_basis, perm_det
+from oracles import apply_to_vector, minor_rank, nullspace_basis, perm_det, product, rref
 
 A_SQUARED = CMatrix([[4, 0, 0], [2 - 2j, 0, 0], [-2 - 2j, 0, 0]])
 A_CUBED = CMatrix([[8, 0, 0], [4 - 4j, 0, 0], [-4 - 4j, 0, 0]])
@@ -119,6 +121,60 @@ def test_rank_matches_minor_oracle():
             assert m.rank() == minor_rank(m)
         wide = rand_matrix(rng, n, n + 1)
         assert wide.rank() == minor_rank(wide)
+
+
+# Components mixing integers, small fractions and fractions whose
+# denominators have 64 to 80 bits, so the rows and columns of one matrix
+# clear to Gaussian integers with different scale factors.
+components = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-5, 5).map(Fraction),
+    st.fractions(max_denominator=12),
+    st.builds(Fraction, st.integers(-(2 ** 80), 2 ** 80), st.integers(2 ** 64, 2 ** 80)),
+)
+scalars = st.builds(G, components, components)
+
+
+@st.composite
+def gaussian_matrices(draw, rows=None, cols=None):
+    """Up to 5 x 5, with rows that combine earlier rows (rank deficiency)
+    and zeroed rows and columns."""
+    rows = rows or draw(st.integers(1, 5))
+    cols = cols or draw(st.integers(1, 5))
+    data = [[draw(scalars) for _ in range(cols)] for _ in range(rows)]
+    for i in range(1, rows):
+        if draw(st.booleans()):
+            weights = [draw(scalars) for _ in range(i)]
+            data[i] = [sum((w * row[j] for w, row in zip(weights, data)), ZERO)
+                       for j in range(cols)]
+    for i in draw(st.sets(st.integers(0, rows - 1), max_size=2)):
+        data[i] = [ZERO] * cols
+    for j in draw(st.sets(st.integers(0, cols - 1), max_size=2)):
+        for row in data:
+            row[j] = ZERO
+    return CMatrix(data)
+
+
+@st.composite
+def conformable_pairs(draw):
+    rows, inner, cols = (draw(st.integers(1, 5)) for _ in range(3))
+    return (draw(gaussian_matrices(rows, inner)), draw(gaussian_matrices(inner, cols)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(conformable_pairs())
+def test_product_matches_entrywise_dot_products(pair):
+    a, b = pair
+    assert a @ b == product(a, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(gaussian_matrices())
+def test_rank_matches_reference_elimination(m):
+    rank = m.rank()
+    assert rank == len(rref(m)[1])
+    if max(m.rows, m.cols) <= 4:
+        assert rank == minor_rank(m)
 
 
 def test_replace_col_golden():
