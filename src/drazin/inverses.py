@@ -25,12 +25,17 @@ det(x I + S).  ``_prepare`` is the one way into a matrix for every guarded
 entry point here and in ``solvers`` and ``ode``: it checks that the matrix
 is square and within the size cap, walks its powers to the index, and then,
 on first use, computes B_(r-1) and c_r by the Faddeev-LeVerrier recurrence
-from the powers the walk ended on.  ``index_of`` and ``verify_drazin`` are
-not guarded.  The column and row forms therefore share this kernel, so
-their agreement checks associativity and commutation rather than the sums
-themselves; the independent references are ``drazin_oracle`` and the
-enumeration in ``minors``, which the test suite compares against the
-kernel.
+from the powers the walk ended on.  Each step of the recurrence is one
+integer product divided by -1, with c_j added to the diagonal; c_r is the
+trace of S B_(r-1) taken from the diagonal dot products alone, divided by
+r.  The column and row forms are products with B_(r-1) divided by c_r in
+the same integer loop (``matrices._divided_product``), so each entry of
+the result is built once, with one division.  ``index_of`` and
+``verify_drazin`` are not guarded.  The column and row forms therefore
+share this kernel, so their agreement checks associativity and
+commutation rather than the sums themselves; the independent references
+are ``drazin_oracle`` and the enumeration in ``minors``, which the test
+suite compares against the kernel.
 
 ``drazin_oracle`` recomputes the inverse along a completely different
 route: the exact limit at 0 of (x I + A^(k+1))^-1 A^k, evaluated
@@ -49,6 +54,8 @@ from .matrices import (
     CMatrix,
     IndexProfile,
     ShapeError,
+    _divided_product,
+    _product_trace,
     check_dimension_limit,
 )
 from .scalars import (
@@ -142,41 +149,37 @@ class _Prepared:
     @cached_property
     def numerator(self) -> CMatrix:
         """B_(r-1) by Faddeev-LeVerrier on S: B_0 = I, and for j >= 1
-        c_j = tr(S B_(j-1)) / j, B_j = c_j I - S B_(j-1)."""
+        c_j = tr(S B_(j-1)) / j, B_j = c_j I - S B_(j-1).  Each step forms
+        -S B_(j-1) as the product divided by -1, reads c_j from its
+        diagonal and adds c_j to the n diagonal entries."""
         s, r = self.power_k1, self.profile.r
         n = s.rows
         if r == 0:
             return CMatrix.zeros(n, n)
         b = CMatrix.identity(n)
         for j in range(1, r):
-            sb = s @ b if j > 1 else s
-            rows = sb.data
-            c = sum((rows[i][i] for i in range(n)), ZERO) / j
+            rows = (_divided_product(s, b, -ONE) if j > 1 else -s).data
+            c = -sum((rows[i][i] for i in range(n)), ZERO) / j
             b = CMatrix(
-                [
-                    [c - v if i == t else -v for t, v in enumerate(row)]
-                    for i, row in enumerate(rows)
-                ]
+                [row[:i] + (row[i] + c,) + row[i + 1:] for i, row in enumerate(rows)]
             )
         return b
 
     @cached_property
     def denominator(self) -> GaussianRational:
-        """c_r = tr(S B_(r-1)) / r, without forming the product."""
+        """c_r = tr(S B_(r-1)) / r, from the diagonal dot products alone."""
         r = self.profile.r
         if r == 0:
             return ONE
-        sd, bd = self.power_k1.data, self.numerator.data
-        n = len(sd)
-        return sum((sd[i][t] * bd[t][i] for i in range(n) for t in range(n)), ZERO) / r
+        return _product_trace(self.power_k1, self.numerator) / r
 
     def col_form(self, source: CMatrix) -> CMatrix:
         """Column-replaced sums over the columns of source, divided by c_r."""
-        return (self.numerator @ source) * (ONE / self.denominator)
+        return _divided_product(self.numerator, source, self.denominator)
 
     def row_form(self, source: CMatrix) -> CMatrix:
         """Row-replaced sums over the rows of source, divided by c_r."""
-        return (source @ self.numerator) * (ONE / self.denominator)
+        return _divided_product(source, self.numerator, self.denominator)
 
 
 def _prepare(a: CMatrix) -> _Prepared:

@@ -13,6 +13,12 @@ by the lcm of its denominators to Gaussian integers.  A product entry is
 then one integer dot product over q_i * p_j, and rank is Bareiss
 elimination over Z[i].  Scaling row by row, not by one lcm for the whole
 matrix, keeps the integers short when the rows' denominators differ.
+
+The determinantal formulas divide every entry of a product by one scalar
+(the minor sum c_r, or -m in the ODE series).  ``_divided_product``
+folds that division into the same integer loop, so each entry is one
+Fraction pair built once; ``@`` is its divisor-one case.
+``_product_trace`` gives tr(L R) from the n diagonal dot products alone.
 """
 
 from __future__ import annotations
@@ -206,24 +212,7 @@ class CMatrix:
     def __matmul__(self, other):
         if not isinstance(other, CMatrix):
             return NotImplemented
-        if self._cols != other._rows:
-            raise ShapeError(
-                "cannot multiply %dx%d by %dx%d"
-                % (self._rows, self._cols, other._rows, other._cols)
-            )
-        right = _gaussian_integers(zip(*other._data))
-        return CMatrix(
-            tuple(
-                tuple(
-                    GaussianRational(
-                        Fraction(sum(map(mul, ar, br)) - sum(map(mul, ai, bi)), q * p),
-                        Fraction(sum(map(mul, ar, bi)) + sum(map(mul, ai, br)), q * p),
-                    )
-                    for p, br, bi in right
-                )
-                for q, ar, ai in _gaussian_integers(self._data)
-            )
-        )
+        return _divided_product(self, other, ONE)
 
     def __pow__(self, power):
         if not self.is_square:
@@ -341,6 +330,62 @@ class CMatrix:
 
     def __repr__(self):
         return "CMatrix(%r)" % ([[str(v) for v in row] for row in self._data],)
+
+
+def _divided_product(left: CMatrix, right: CMatrix, divisor) -> CMatrix:
+    """(left @ right) / divisor, one Fraction pair per entry.
+
+    Row i of left and column j of right are scaled to Gaussian integers by
+    q_i and p_j, so their dot product is s_r + s_i i over q_i p_j.  Writing
+    divisor = (alpha + beta i) / gamma in integers, the entry is
+
+        gamma (s_r + s_i i)(alpha - beta i) / (q_i p_j (alpha^2 + beta^2)).
+
+    ``@`` is the divisor-one case.
+    """
+    if left._cols != right._rows:
+        raise ShapeError(
+            "cannot multiply %dx%d by %dx%d"
+            % (left._rows, left._cols, right._rows, right._cols)
+        )
+    d_re, d_im = divisor.re, divisor.im
+    gamma = lcm(d_re.denominator, d_im.denominator)
+    alpha = d_re.numerator * (gamma // d_re.denominator)
+    beta = d_im.numerator * (gamma // d_im.denominator)
+    norm = alpha * alpha + beta * beta
+    if not norm:
+        raise ZeroDivisionError("matrix product divided by zero")
+    x, y = gamma * alpha, gamma * beta
+    columns = _gaussian_integers(zip(*right._data))
+    rows = []
+    for q, ar, ai in _gaussian_integers(left._data):
+        qn = q * norm
+        row = []
+        for p, br, bi in columns:
+            sr = sum(map(mul, ar, br)) - sum(map(mul, ai, bi))
+            si = sum(map(mul, ar, bi)) + sum(map(mul, ai, br))
+            den = qn * p
+            row.append(GaussianRational(
+                Fraction(sr * x + si * y, den), Fraction(si * x - sr * y, den)
+            ))
+        rows.append(row)
+    return CMatrix(rows)
+
+
+def _product_trace(left: CMatrix, right: CMatrix) -> GaussianRational:
+    """tr(left @ right) from the diagonal dot products alone: n Fraction
+    terms per part, no product matrix."""
+    if left._cols != right._rows or left._rows != right._cols:
+        raise ShapeError(
+            "tr(L R) needs L m x n and R n x m, got %dx%d and %dx%d"
+            % (left._rows, left._cols, right._rows, right._cols)
+        )
+    re = im = Fraction(0)
+    pairs = zip(_gaussian_integers(left._data), _gaussian_integers(zip(*right._data)))
+    for (q, ar, ai), (p, br, bi) in pairs:
+        re += Fraction(sum(map(mul, ar, br)) - sum(map(mul, ai, bi)), q * p)
+        im += Fraction(sum(map(mul, ar, bi)) + sum(map(mul, ai, br)), q * p)
+    return GaussianRational(re, im)
 
 
 def hstack(left: CMatrix, right: CMatrix) -> CMatrix:

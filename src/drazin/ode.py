@@ -6,17 +6,19 @@ zero) of X' + AX = B is the degree-k polynomial
     X(t) = A^D B + sum over m = 1..k of
            ((-1)^(m-1) / m!) (A^(m-1) B - A^D A^m B) t^m,
 
-where k is the index of A; an invertible A gives the constant A^(-1) B.
-Every coefficient entry is evaluated as an exact ratio of minor sums: the
-products A^D A^m B collapse to the same column-replaced sums used by the
-linear-system solvers, with the columns of A^(k+m) B substituted into
-A^(k+1).  The right-sided equation X' + XA = B is handled by the mirrored
-row-replaced sums over B A^(k+m).  Both read the per-matrix numerator of
-``inverses._prepare``, the kernel shared with the inverses and solvers,
-which also applies the square check and the size cap to A.  The series
-themselves (``_left_series``, ``_right_series``) take the prepared object,
-so the command line can report the profile and denominator from the same
-one.
+where k is the index of A; an invertible A gives the constant A^(-1) B
+(Campbell, Meyer & Rose, SIAM J. Appl. Math. 31, 1976).  The constant
+term X0 = A^D B is the paper's Cramer solution of AX = B: every entry an
+exact ratio of column-replaced minor sums over A^k B, read from the
+per-matrix numerator of ``inverses._prepare``, the kernel shared with the
+inverses and solvers, which also applies the square check and the size
+cap to A.  The higher coefficients follow from that one solve: since
+A^D A^m B = A^(m-1) A X0, the t^1 coefficient is B - A X0 and each next
+one is A times the previous divided by -m, one integer product with the
+division folded in.  The right-sided equation X' + XA = B is the mirror
+image, from the row-replaced sums over B A^k.  The series themselves
+(``_left_series``, ``_right_series``) take the prepared object, so the
+command line can report the profile and denominator from the same one.
 
 The residual helpers substitute a polynomial back into the equation and
 return X'(t) + AX(t) - B exactly; for the polynomials built here the
@@ -25,11 +27,8 @@ result is identically zero, which is the decisive correctness check.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import factorial
-
 from .inverses import _Prepared, _prepare
-from .matrices import CMatrix, ShapeError
+from .matrices import CMatrix, ShapeError, _divided_product
 from .scalars import GaussianRational, ScalarPolynomial
 
 
@@ -244,10 +243,6 @@ class MatrixPolynomial:
         return "MatrixPolynomial(%r)" % (list(self._coeffs),)
 
 
-def _series_scale(m: int) -> GaussianRational:
-    return GaussianRational(Fraction((-1) ** (m - 1), factorial(m)))
-
-
 def _check_rhs(a: CMatrix, b: CMatrix, side: str) -> None:
     if b.rows != a.rows or b.cols != a.rows:
         raise ShapeError(
@@ -259,10 +254,10 @@ def _check_rhs(a: CMatrix, b: CMatrix, side: str) -> None:
 def ode_left_partial(a: CMatrix, b: CMatrix) -> MatrixPolynomial:
     """Partial polynomial solution of X' + AX = B.
 
-    The constant term is the Drazin solution of AX = B and the t^m
-    coefficient is ((-1)^(m-1)/m!)(A^(m-1)B - A^D A^m B), every product
-    evaluated through column-replaced minor sums.  The degree never
-    exceeds the index of A, and an invertible A yields the constant
+    The constant term is the Drazin solution of AX = B, evaluated through
+    column-replaced minor sums, and the t^m coefficient is
+    ((-1)^(m-1)/m!)(A^(m-1)B - A^D A^m B), built from it.  The degree
+    never exceeds the index of A, and an invertible A yields the constant
     solution of the algebraic system.
     """
     return _left_series(_prepare(a), a, b)
@@ -274,28 +269,32 @@ def ode_right_partial(a: CMatrix, b: CMatrix) -> MatrixPolynomial:
 
 
 def _left_series(prepared: _Prepared, a: CMatrix, b: CMatrix) -> MatrixPolynomial:
-    """ode_left_partial from A's prepared object."""
+    """ode_left_partial from A's prepared object.
+
+    With X0 = A^D B, the t^m coefficient is
+    ((-1)^(m-1)/m!) A^(m-1) (B - A X0), so C_1 = B - A X0 and
+    C_m = A C_(m-1) / (-m).
+    """
     _check_rhs(a, b, "X' + AX = B")
-    hat = prepared.power_k @ b
-    coeffs = [prepared.col_form(hat)]
-    term = b  # A^(m-1) B
-    for m in range(1, prepared.profile.k + 1):
-        hat = a @ hat
-        coeffs.append(_series_scale(m) * (term - prepared.col_form(hat)))
-        term = a @ term
+    x0 = prepared.col_form(prepared.power_k @ b)
+    coeffs = [x0]
+    if prepared.profile.k:
+        coeffs.append(b - a @ x0)
+    for m in range(2, prepared.profile.k + 1):
+        coeffs.append(_divided_product(a, coeffs[-1], GaussianRational(-m)))
     return MatrixPolynomial(coeffs, rows=a.rows, cols=a.rows)
 
 
 def _right_series(prepared: _Prepared, a: CMatrix, b: CMatrix) -> MatrixPolynomial:
-    """ode_right_partial from A's prepared object."""
+    """ode_right_partial from A's prepared object: the mirror image,
+    C_1 = B - X0 A and C_m = C_(m-1) A / (-m)."""
     _check_rhs(a, b, "X' + XA = B")
-    check = b @ prepared.power_k
-    coeffs = [prepared.row_form(check)]
-    term = b  # B A^(m-1)
-    for m in range(1, prepared.profile.k + 1):
-        check = check @ a
-        coeffs.append(_series_scale(m) * (term - prepared.row_form(check)))
-        term = term @ a
+    x0 = prepared.row_form(b @ prepared.power_k)
+    coeffs = [x0]
+    if prepared.profile.k:
+        coeffs.append(b - x0 @ a)
+    for m in range(2, prepared.profile.k + 1):
+        coeffs.append(_divided_product(coeffs[-1], a, GaussianRational(-m)))
     return MatrixPolynomial(coeffs, rows=a.rows, cols=a.rows)
 
 

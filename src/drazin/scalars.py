@@ -16,8 +16,11 @@ decimals or exponents; ``bool`` is refused like ``float``.
 from __future__ import annotations
 
 import re as _re
+import sys
 from fractions import Fraction
 
+_HASH_IMAG = sys.hash_info.imag
+_HASH_MASK = (1 << sys.hash_info.width) - 1
 
 _UNSIGNED = r"[0-9]+(?:/[0-9]+)?"
 _COMPONENT_TEXT = _re.compile("-?" + _UNSIGNED)
@@ -200,7 +203,13 @@ class GaussianRational:
         return self._re == other._re and self._im == other._im
 
     def __hash__(self):
-        return hash((self._re, self._im))
+        # complex's hash, so that values equal to an int, a Fraction or a
+        # complex hash alike: hash(re) + imag * hash(im) as a signed
+        # width-bit word, with -1 (the error value) mapped to -2
+        h = (hash(self._re) + _HASH_IMAG * hash(self._im)) & _HASH_MASK
+        if h > _HASH_MASK >> 1:
+            h -= _HASH_MASK + 1
+        return -2 if h == -1 else h
 
     def __str__(self):
         if self._im == 0:

@@ -5,9 +5,12 @@ A^D D B^D) with every entry produced directly as an exact ratio of minor
 sums; no inverse is formed first.  The sums come from the per-matrix
 numerator B_(r-1) of ``inverses._prepare``: column-replaced sums over the
 columns of a matrix M are the entries of B_(r-1) M, row-replaced ones
-those of M B_(r-1).  ``_prepare`` also applies the square check and the
-size cap to each coefficient matrix; the solvers check only that the
-right-hand side fits.  The reported restriction flag states
+those of M B_(r-1).  Each solution is one integer product divided by its
+denominator in the same loop (``matrices._divided_product``): c_r for the
+one-sided systems, c_A c_B for both orders of the two-sided one.
+``_prepare`` also applies the square check and the size cap to each
+coefficient matrix; the solvers check only that the right-hand side
+fits.  The reported restriction flag states
 whether the right-hand side satisfies the range/nullspace hypotheses under
 which that matrix genuinely solves the unrestricted equation:
 
@@ -35,8 +38,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .inverses import _prepare
-from .matrices import CMatrix, IndexProfile, ShapeError, hstack, vstack
-from .scalars import GaussianRational, ONE
+from .matrices import CMatrix, IndexProfile, ShapeError, _divided_product, hstack, vstack
+from .scalars import GaussianRational
 
 
 @dataclass(frozen=True)
@@ -102,9 +105,8 @@ def solve_axb(a: CMatrix, b: CMatrix, d: CMatrix) -> SolveReport:
     reduced = pa.power_k @ d @ pb.power_k
     db = reduced @ pb.numerator
     da = pa.numerator @ reduced
-    scale = ONE / den
-    via_b = (pa.numerator @ db) * scale
-    via_a = (da @ pb.numerator) * scale
+    via_b = _divided_product(pa.numerator, db, den)
+    via_a = _divided_product(da, pb.numerator, den)
     if via_b != via_a:
         raise RuntimeError(
             "representation mismatch: the two reduction orders disagree, "

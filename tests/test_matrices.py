@@ -168,6 +168,52 @@ def test_product_matches_entrywise_dot_products(pair):
     assert a @ b == product(a, b)
 
 
+# Divisors: plus and minus one, Gaussian integers, and Gaussian rationals
+# whose parts have denominators of up to 80 bits.
+divisors = st.one_of(
+    st.sampled_from([G(1), G(-1)]),
+    st.builds(G, st.integers(-9, 9), st.integers(-9, 9)),
+    scalars,
+).filter(bool)
+
+
+@settings(max_examples=150, deadline=None)
+@given(conformable_pairs(), divisors)
+def test_divided_product_matches_product_then_division(pair, divisor):
+    a, b = pair
+    expected = product(a, b)
+    divided = matrices._divided_product(a, b, divisor)
+    assert divided == CMatrix([[v / divisor for v in row] for row in expected.data])
+
+
+@st.composite
+def trace_pairs(draw):
+    """m x n and n x m, so that the product is square."""
+    rows, inner = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    return (draw(gaussian_matrices(rows, inner)), draw(gaussian_matrices(inner, rows)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(trace_pairs())
+def test_product_trace_matches_sum_of_entrywise_products(pair):
+    a, b = pair
+    expected = sum(
+        (a.data[i][t] * b.data[t][i] for i in range(a.rows) for t in range(a.cols)), ZERO
+    )
+    assert matrices._product_trace(a, b) == expected
+
+
+def test_divided_product_by_zero_raises():
+    a = CMatrix([[1, "1/2"], [3, 1j]])
+    for zero in (G(0), G("0/7", "0/3")):
+        with pytest.raises(ZeroDivisionError):
+            matrices._divided_product(a, a, zero)
+    with pytest.raises(ShapeError):
+        matrices._divided_product(a, CMatrix([[1, 2]]), G(1))
+    with pytest.raises(ShapeError):
+        matrices._product_trace(a, CMatrix([[1, 2]]))
+
+
 @settings(max_examples=150, deadline=None)
 @given(gaussian_matrices())
 def test_rank_matches_reference_elimination(m):

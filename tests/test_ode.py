@@ -1,10 +1,12 @@
 """Tests for the polynomial solutions of X' + AX = B and X' + XA = B."""
 
 import random
+from fractions import Fraction
+from math import factorial
 
 import pytest
 
-from drazin.inverses import drazin_col, index_of
+from drazin.inverses import drazin_col, drazin_oracle, index_of
 from drazin.matrices import (
     CMatrix,
     DimensionLimitError,
@@ -30,8 +32,10 @@ from helpers import (
     rand_nilpotent,
     rand_singular,
     rand_with_index,
+    rand_with_profile,
+    reachable_profiles,
 )
-from oracles import invert
+from oracles import invert, product
 
 NILPOTENT = CMatrix([[0, 1], [0, 0]])
 
@@ -191,6 +195,34 @@ def test_left_matches_direct_products():
         a = rand_with_index(rng, 3, index)
         b = rand_matrix(rng, 3)
         assert ode_left_partial(a, b) == direct_partial(a, b)
+
+
+def literal_series(a, b, x, left):
+    """The paper's series written out with an independent inverse X: the
+    t^m coefficient of X' + AX = B is ((-1)^(m-1)/m!)(A^(m-1)B - X A^m B),
+    of X' + XA = B the mirror ((-1)^(m-1)/m!)(B A^(m-1) - B A^m X)."""
+    k = index_of(a).k
+    power = CMatrix.identity(a.rows)  # A^(m-1)
+    coeffs = [product(x, b) if left else product(b, x)]
+    for m in range(1, k + 1):
+        scale = G(Fraction((-1) ** (m - 1), factorial(m)))
+        if left:
+            term = product(power, b) - product(x, product(product(power, a), b))
+        else:
+            term = product(b, power) - product(product(b, product(power, a)), x)
+        coeffs.append(term * scale)
+        power = product(power, a)
+    return MatrixPolynomial(coeffs, rows=a.rows, cols=a.rows)
+
+
+@pytest.mark.parametrize("n,r,k", reachable_profiles(5))
+def test_series_match_the_literal_formula_on_every_profile(n, r, k):
+    rng = random.Random(100 * n + 10 * r + k)
+    a = rand_with_profile(rng, n, r, k)
+    b = rand_matrix(rng, n)
+    x = drazin_oracle(a)
+    assert ode_left_partial(a, b) == literal_series(a, b, x, left=True)
+    assert ode_right_partial(a, b) == literal_series(a, b, x, left=False)
 
 
 def test_degree_bounded_by_index():

@@ -142,6 +142,30 @@ def test_hashable():
     assert hash(G("1/2")) == hash(G(Fraction(1, 2)))
 
 
+EQUAL_BUILTINS = [
+    0, 1, -1, -2, 7, 2 ** 61 - 1, 2 ** 64, -(2 ** 70),
+    Fraction(1, 2), Fraction(-7, 3), Fraction(1, 2 ** 65), Fraction(-(2 ** 70), 3),
+    0j, 1j, -1j, 1 - 1j, -1 - 1j, 3 + 4j, -2 + 0j, complex(2 ** 60, -(2 ** 62)),
+]
+
+
+@pytest.mark.parametrize("value", EQUAL_BUILTINS, ids=repr)
+def test_hash_agrees_with_equal_builtin_numbers(value):
+    x = G.parse(value)
+    assert x == value
+    assert hash(x) == hash(value)
+    assert x in {value} and value in {x}
+    assert {value: "v"}[x] == "v" and {x: "x"}[value] == "x"
+    assert len({x, value}) == 1
+
+
+@given(st.integers(-(2 ** 80), 2 ** 80), st.integers(-(2 ** 80), 2 ** 80))
+def test_hash_agrees_with_equal_complex(re, im):
+    value = complex(re, im)  # the parts round to floats, which stay integral
+    x = G.parse(value)
+    assert x == value and hash(x) == hash(value)
+
+
 def test_conjugate_and_norm():
     x = G(3, -4)
     assert x.conjugate() == G(3, 4)
