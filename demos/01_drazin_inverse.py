@@ -33,7 +33,8 @@ outcome = drazin_col(a)
 print("\nDrazin inverse (column form), common denominator", outcome.denominator)
 print(outcome.inverse)
 
-# route 2: row-replaced minor sums; route 3: the symbolic limit oracle
+# route 2: row-replaced minor sums; route 3: the limit oracle, an exact
+# solve of A^(2k+1) W = A^k with A^D = A^k W
 assert drazin_row(a).inverse == outcome.inverse
 assert drazin_oracle(a) == outcome.inverse
 print("\nrow form and the limit oracle agree entrywise")

@@ -37,12 +37,16 @@ commutation rather than the sums themselves; the independent references
 are ``drazin_oracle`` and the enumeration in ``minors``, which the test
 suite compares against the kernel.
 
-``drazin_oracle`` recomputes the inverse along a completely different
-route: the exact limit at 0 of (x I + A^(k+1))^-1 A^k, evaluated
-symbolically via a polynomial-entry adjugate.  It shares nothing with the
-kernel beyond the index walk and scalar arithmetic, which is what makes it
-useful as a reference in the test suite; it reads only the walk's powers
-from the prepared object, so it never triggers the kernel.
+``drazin_oracle`` recomputes the inverse along a different route: the
+exact limit at 0 of (x I + A^(k+1))^-1 A^k, which is the solution of
+A^(k+1) X = A^k with columns in the range of A^k, found by fraction-free
+Gauss-Jordan elimination over the Gaussian integers.  It shares the index
+walk, ``@`` and the elimination loop ``matrices._bareiss`` (which also
+computes ``rank`` and ``det``) with production, but not the
+Faddeev-LeVerrier recurrence, B_(r-1) or c_r, so its agreement with the
+column and row forms checks the minor sums themselves.  It reads only
+the walk's powers from the prepared object, so it never triggers the
+kernel.
 """
 
 from __future__ import annotations
@@ -54,18 +58,13 @@ from .matrices import (
     CMatrix,
     IndexProfile,
     ShapeError,
+    _bareiss,
     _divided_product,
+    _gaussian_integers,
     _product_trace,
     check_dimension_limit,
 )
-from .scalars import (
-    GaussianRational,
-    ONE,
-    POLY_ONE,
-    ZERO,
-    ScalarPolynomial,
-    poly_limit_at_zero,
-)
+from .scalars import GaussianRational, ONE, ZERO
 
 
 class GroupIndexError(ValueError):
@@ -240,92 +239,46 @@ def projector_row(a: CMatrix) -> CMatrix:
     return prepared.row_form(prepared.power_k1)
 
 
-# --- the symbolic-limit oracle ---
-
-
-def _poly_subset_dets(rows):
-    """Memoized determinants over column subsets of a fixed row list.
-
-    rows is a list of polynomial-entry rows; the returned function maps a
-    strictly increasing tuple of column positions to the determinant of the
-    submatrix on those columns and the first len(columns) rows of the list
-    (rows are consumed top-down as the recursion strips columns).
-    """
-    memo = {(): POLY_ONE}
-
-    def rec(cols):
-        value = memo.get(cols)
-        if value is not None:
-            return value
-        depth = len(rows) - len(cols)
-        row = rows[depth]
-        total = ScalarPolynomial()
-        for idx, c in enumerate(cols):
-            term = row[c] * rec(cols[:idx] + cols[idx + 1 :])
-            total = total + term if idx % 2 == 0 else total - term
-        memo[cols] = total
-        return total
-
-    return rec
-
-
-def _poly_adjugate(p):
-    """Adjugate and determinant of a square polynomial-entry matrix."""
-    n = len(p)
-    adj = [[None] * n for _ in range(n)]
-    det = None
-    for j in range(n):
-        rows = [p[t] for t in range(n) if t != j]
-        rec = _poly_subset_dets(rows)
-        for i in range(n):
-            minor = rec(tuple(c for c in range(n) if c != i))
-            adj[i][j] = minor if (i + j) % 2 == 0 else -minor
-        if j == 0:
-            det = ScalarPolynomial()
-            for i in range(n):
-                term = p[0][i] * rec(tuple(c for c in range(n) if c != i))
-                det = det + term if i % 2 == 0 else det - term
-    return adj, det
+# --- the limit oracle ---
 
 
 def drazin_oracle(a: CMatrix, power_first: bool = False) -> CMatrix:
     """Drazin inverse as the exact limit of (x I + A^(k+1))^-1 A^k at 0.
 
-    The resolvent-like inverse is expanded symbolically: x I + A^(k+1) is a
-    matrix of degree-one polynomials whose adjugate and determinant are
-    polynomials again, so each entry of the product with A^k is a ratio of
-    polynomials whose limit at 0 is exact.  ``power_first=True`` evaluates
-    the reversed product A^k (x I + A^(k+1))^-1 instead; both orderings
-    converge to the same matrix.
+    A^(k+1) has index at most 1, so the limit is the unique solution X of
+    A^(k+1) X = A^k whose columns lie in the range of A^k.  It is found as
+    X = A^k W for any solution W of A^(2k+1) W = A^k, by fraction-free
+    Gauss-Jordan elimination over the Gaussian integers with the free
+    unknowns set to zero.  ``power_first=True`` takes the limit of the
+    reversed product A^k (x I + A^(k+1))^-1 instead, the same solve on the
+    transposed system; both orderings converge to the same matrix.
     """
     return _limit(_prepare(a), power_first)
 
 
 def _limit(prepared: _Prepared, power_first: bool = False) -> CMatrix:
-    """The oracle's limit, from the walk's powers alone (never the kernel)."""
+    """The oracle's limit, from the walk's powers alone (never the kernel).
+
+    Gauss-Jordan on the row-scaled [A^(2k+1) | A^k] leaves, in each pivot
+    row, the last pivot d times the row of W at that pivot column, so A^k W
+    is the product of the pivot columns of A^k with those rows divided by d.
+    The reversed product's limit is the transpose of this one for A^T.
+    """
     power_k, s = prepared.power_k, prepared.power_k1
+    if power_first:
+        power_k, s = power_k.transpose(), s.transpose()
     n = s.rows
-    p = [
-        [
-            ScalarPolynomial((s.data[i][j], 1)) if i == j else ScalarPolynomial((s.data[i][j],))
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    adj, det = _poly_adjugate(p)
-    entries = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            num = ScalarPolynomial()
-            for t in range(n):
-                if power_first:
-                    num = num + power_k.data[i][t] * adj[t][j]
-                else:
-                    num = num + power_k.data[t][j] * adj[i][t]
-            row.append(poly_limit_at_zero(num, det))
-        entries.append(row)
-    return CMatrix(entries)
+    system = zip((s @ power_k).data, power_k.data)
+    rows = [(re, im) for _, re, im in _gaussian_integers(a + b for a, b in system)]
+    pivots, _, (dr, di) = _bareiss(rows, n, clear_above=True)
+    if not pivots:
+        return CMatrix.zeros(n, n)
+    solved = CMatrix(
+        [list(map(GaussianRational, re[n:], im[n:])) for re, im in rows[: len(pivots)]]
+    )
+    used = CMatrix([[row[c] for c in pivots] for row in power_k.data])
+    limit = _divided_product(used, solved, GaussianRational(dr, di))
+    return limit.transpose() if power_first else limit
 
 
 # --- axiom checking ---

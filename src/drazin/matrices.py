@@ -6,13 +6,15 @@ row and column indices are 1-based throughout the package, matching the
 usual mathematical convention for minors and index sets; internal storage
 is an ordinary 0-based tuple of row tuples.
 
-Determinants use fraction-free (Bareiss-style) elimination to keep the
-intermediate rationals small.  Products and ranks run on plain ``int``
-pairs: each row (and each column of a product's right factor) is scaled
-by the lcm of its denominators to Gaussian integers.  A product entry is
-then one integer dot product over q_i * p_j, and rank is Bareiss
-elimination over Z[i].  Scaling row by row, not by one lcm for the whole
-matrix, keeps the integers short when the rows' denominators differ.
+Products, determinants and ranks run on plain ``int`` pairs: each row
+(and each column of a product's right factor) is scaled by the lcm of
+its denominators to Gaussian integers.  A product entry is then one
+integer dot product over q_i * p_j.  ``_bareiss`` is the one
+fraction-free elimination over Z[i]: ``rank`` counts its pivots, ``det``
+is its last pivot over the product of the row scales, and the limit
+oracle in ``inverses`` runs it with the rows above each pivot cleared
+too.  Scaling row by row, not by one lcm for the whole matrix, keeps the
+integers short when the rows' denominators differ.
 
 The determinantal formulas divide every entry of a product by one scalar
 (the minor sum c_r, or -m in the ODE series).  ``_divided_product``
@@ -25,7 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from itertools import chain
+from math import lcm, prod
 from operator import mul
 
 from .scalars import GaussianRational, ONE, ZERO
@@ -44,9 +47,9 @@ class DimensionLimitError(ValueError):
 # DRAZIN_MAX_DIM).  The one check is in ``inverses._prepare``, which every
 # guarded entry point of ``inverses``, ``solvers`` and ``ode`` goes
 # through; ``index_of`` and ``verify_drazin`` are not guarded.  The kernel
-# is polynomial in n; the exponential cost that remains is the limit
-# oracle's subset expansion, and that of the public enumerations in
-# ``minors``, which do not check the limit.
+# and the limit oracle are polynomial in n; the only exponential cost is
+# that of the public enumerations in ``minors``, which do not check the
+# limit.
 DEFAULT_MAX_DIMENSION = 10
 _max_dimension = DEFAULT_MAX_DIMENSION
 
@@ -88,6 +91,57 @@ def _gaussian_integers(vectors):
                 [x.numerator * (q // x.denominator) for x in im],
             ))
     return out
+
+
+def _bareiss(rows, cols, clear_above=False):
+    """Fraction-free elimination over Z[i], in place on ``rows``.
+
+    Each row is a pair (real parts, imaginary parts) of int lists; pivots
+    are sought in the first ``cols`` columns, and every column of the row
+    is updated.  Returns (pivot columns, sign of the row swaps, last
+    pivot as a (re, im) pair), with (1, 0) as the pivot when there is none.
+    Forward only, each pivot k of a square nonsingular matrix is the
+    leading k x k minor of the row-swapped matrix, so the last one is its
+    determinant up to the sign.  With ``clear_above`` the rows above each
+    pivot are updated too (fraction-free Gauss-Jordan); the pivot rows then
+    solve the system over the last pivot: the entry of row t in a column
+    past ``cols`` is the last pivot times the unknown of pivot column t.
+    Entries left of the current pivot column are not kept current.
+    """
+    count = len(rows)
+    width = len(rows[0][0])
+    pivots = []
+    sign = 1
+    prev_re, prev_im, norm = 1, 0, 1
+    for col in range(cols):
+        rank = len(pivots)
+        for r in range(rank, count):
+            if rows[r][0][col] or rows[r][1][col]:
+                if r != rank:
+                    rows[rank], rows[r] = rows[r], rows[rank]
+                    sign = -sign
+                break
+        else:
+            continue
+        yr, yi = rows[rank]
+        pr, pi = yr[col], yi[col]
+        below = range(rank + 1, count)
+        # x <- (pivot * x - f * y) / prev on the other rows: the division is
+        # exact (Sylvester's identity), done as multiplication by the
+        # conjugate of prev and floor division by its norm
+        for r in chain(range(rank), below) if clear_above else below:
+            xr, xi = rows[r]
+            fr, fi = xr[col], xi[col]
+            for j in range(col + 1, width):
+                nr = pr * xr[j] - pi * xi[j] - fr * yr[j] + fi * yi[j]
+                ni = pr * xi[j] + pi * xr[j] - fr * yi[j] - fi * yr[j]
+                xr[j] = (nr * prev_re + ni * prev_im) // norm
+                xi[j] = (ni * prev_re - nr * prev_im) // norm
+        prev_re, prev_im, norm = pr, pi, pr * pr + pi * pi
+        pivots.append(col)
+        if rank + 1 == count:
+            break
+    return pivots, sign, (prev_re, prev_im)
 
 
 @dataclass(frozen=True)
@@ -229,66 +283,30 @@ class CMatrix:
             return NotImplemented
         return self._data == other._data
 
+    def __hash__(self):
+        return hash(self._data)
+
     # --- elimination-based quantities ---
 
     def det(self) -> GaussianRational:
-        """Determinant by fraction-free (Bareiss) elimination."""
+        """Determinant by fraction-free (Bareiss) elimination over the
+        Gaussian integers: the last pivot of the row-scaled matrix, with the
+        sign of the row swaps, divided by the product of the row scales."""
         if not self.is_square:
             raise ShapeError("determinant of a non-square matrix")
-        n = self._rows
-        a = [list(row) for row in self._data]
-        sign = 1
-        prev = ONE
-        for k in range(n - 1):
-            if not a[k][k]:
-                for i in range(k + 1, n):
-                    if a[i][k]:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return ZERO
-            pivot = a[k][k]
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (pivot * a[i][j] - a[i][k] * a[k][j]) / prev
-                a[i][k] = ZERO
-            prev = pivot
-        value = a[n - 1][n - 1]
-        return value if sign == 1 else -value
+        scaled = _gaussian_integers(self._data)
+        rows = [(re, im) for _, re, im in scaled]
+        pivots, sign, (dr, di) = _bareiss(rows, self._cols)
+        if len(pivots) < self._rows:
+            return ZERO
+        scale = sign * prod(q for q, _, _ in scaled)
+        return GaussianRational(Fraction(dr, scale), Fraction(di, scale))
 
     def rank(self) -> int:
         """Rank by fraction-free (Bareiss) elimination over the Gaussian
         integers, after scaling each row to integer entries."""
         rows = [(re, im) for _, re, im in _gaussian_integers(self._data)]
-        count = len(rows)
-        rank = 0
-        prev_re, prev_im, norm = 1, 0, 1
-        for col in range(self._cols):
-            for r in range(rank, count):
-                if rows[r][0][col] or rows[r][1][col]:
-                    rows[rank], rows[r] = rows[r], rows[rank]
-                    break
-            else:
-                continue
-            yr, yi = rows[rank]
-            pr, pi = yr[col], yi[col]
-            # x <- (pivot * x - f * y) / prev on the rows below: the division
-            # is exact (Sylvester's identity), done as multiplication by the
-            # conjugate of prev and floor division by its norm
-            for r in range(rank + 1, count):
-                xr, xi = rows[r]
-                fr, fi = xr[col], xi[col]
-                for j in range(col + 1, self._cols):
-                    nr = pr * xr[j] - pi * xi[j] - fr * yr[j] + fi * yi[j]
-                    ni = pr * xi[j] + pi * xr[j] - fr * yi[j] - fi * yr[j]
-                    xr[j] = (nr * prev_re + ni * prev_im) // norm
-                    xi[j] = (ni * prev_re - nr * prev_im) // norm
-            prev_re, prev_im, norm = pr, pi, pr * pr + pi * pi
-            rank += 1
-            if rank == count:
-                break
-        return rank
+        return len(_bareiss(rows, self._cols)[0])
 
     # --- row/column surgery ---
 

@@ -3,8 +3,9 @@
 Everything in this package runs over Q(i), complex numbers whose real and
 imaginary parts are rational.  ``fractions.Fraction`` supplies
 arbitrary-precision components, so no operation ever rounds.
-``ScalarPolynomial`` adds the small amount of univariate polynomial
-arithmetic needed to take exact limits of rational matrix expressions at 0.
+``ScalarPolynomial`` adds a small amount of univariate polynomial
+arithmetic: it is the scalar view of a matrix polynomial's entry, and
+``poly_limit_at_zero`` takes exact limits of ratios of them at 0.
 
 The package's one scalar text grammar, shared by library and CLI: a
 component is ``-?[0-9]+(/[0-9]+)?`` in ASCII digits; a scalar is a real
@@ -348,6 +349,10 @@ class ScalarPolynomial:
         return self._coeffs == other._coeffs
 
     def __hash__(self):
+        # a constant hashes as its coefficient and zero as 0, so that a
+        # polynomial equal to a scalar hashes like it
+        if len(self._coeffs) <= 1:
+            return hash(self.coefficient(0))
         return hash(self._coeffs)
 
     def __str__(self):
@@ -367,9 +372,6 @@ class ScalarPolynomial:
 
     def __repr__(self):
         return "ScalarPolynomial(%s)" % (list(map(str, self._coeffs)),)
-
-
-POLY_ONE = ScalarPolynomial((1,))
 
 
 def poly_limit_at_zero(num: ScalarPolynomial, den: ScalarPolynomial) -> GaussianRational:

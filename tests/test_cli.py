@@ -21,7 +21,15 @@ from drazin.cli import (
 )
 from drazin.matrices import CMatrix
 
-from helpers import A_IDX2, B_GRP, D_RHS, GOLD_SOLVE_AX, GOLD_SOLVE_AXB, rand_matrix
+from helpers import (
+    A_IDX2,
+    B_GRP,
+    D_RHS,
+    GOLD_SOLVE_AX,
+    GOLD_SOLVE_AXB,
+    rand_matrix,
+    rand_with_profile,
+)
 
 import random
 
@@ -252,6 +260,19 @@ def test_dimension_guard_exit_code(capsys, tmp_path):
         capsys, ["--max-dimension", "11", "drazin", "--input", big]
     )
     assert code2 == 0
+
+
+def test_all_methods_agree_above_the_default_cap(capsys, tmp_path):
+    # index 4 with a rank-5 core at n = 12: the oracle is polynomial in n,
+    # so all three routes finish well within the test's time
+    a = rand_with_profile(random.Random(12), 12, 5, 4)
+    path = write_matrix(tmp_path / "a12.json", a)
+    code, report = run_json(
+        capsys, ["--max-dimension", "12", "drazin", "--input", path]
+    )
+    assert code == 0
+    assert report["profile"] == {"index": 4, "rank": 5}
+    assert report["methods_agree"] is True
 
 
 def test_env_var_raises_limit(capsys, tmp_path, monkeypatch):

@@ -4,8 +4,9 @@
 adj(x I + A^(k+1)), and c_r by the Faddeev-LeVerrier recurrence.  Every
 determinantal formula reads its minor sums from that one matrix, so here
 it is compared entry by entry with the enumeration in ``minors`` and, end
-to end, with the symbolic-limit oracle, over every reachable (n, r, k)
-with n <= 6.
+to end, with the limit oracle, over every reachable (n, r, k) with
+n <= 6.  Above that, index 3 and higher with a nonzero core is checked up
+to n = 12 against the oracle and the axioms.
 """
 
 import random
@@ -13,7 +14,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from drazin.inverses import _prepare, drazin_col, drazin_oracle
+from drazin import matrices
+from drazin.inverses import (
+    _prepare,
+    drazin_col,
+    drazin_oracle,
+    drazin_row,
+    verify_drazin,
+)
 from drazin.matrices import CMatrix, IndexProfile
 from drazin.minors import (
     sum_minors_col_replaced,
@@ -64,3 +72,26 @@ def test_kernel_matches_enumeration_on_random_matrices(profile, seed):
 def test_profiles_cover_index_three_with_a_nonzero_core():
     assert (6, 3, 3) in PROFILES and (5, 2, 3) in PROFILES
     assert len(PROFILES) == sum(1 + n * (n + 1) // 2 for n in range(1, 7))
+
+
+# index >= 3 with a nonzero core, n = 7..12: for each index, the smallest
+# and the largest core
+HIGH_INDEX_PROFILES = sorted(
+    {(n, r, k) for n in range(7, 13) for k in range(3, n) for r in (1, n - k)}
+)
+
+
+@pytest.mark.parametrize("n,r,k", HIGH_INDEX_PROFILES)
+def test_high_index_profiles_above_the_cap_agree_with_the_oracle(n, r, k):
+    a = rand_with_profile(random.Random(1000 * n + 10 * r + k), n, r, k)
+    matrices.set_max_dimension(12)
+    try:
+        prepared = _prepare(a)
+        column = drazin_col(a).inverse
+        assert prepared.profile == IndexProfile(k, r)
+        assert drazin_row(a).inverse == column
+        assert drazin_oracle(a) == column
+        assert drazin_oracle(a, power_first=True) == column
+        assert verify_drazin(a, column).all_hold
+    finally:
+        matrices.set_max_dimension(matrices.DEFAULT_MAX_DIMENSION)

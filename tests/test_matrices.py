@@ -221,6 +221,8 @@ def test_rank_matches_reference_elimination(m):
     assert rank == len(rref(m)[1])
     if max(m.rows, m.cols) <= 4:
         assert rank == minor_rank(m)
+        if m.is_square:
+            assert m.det() == perm_det(m)
 
 
 def test_replace_col_golden():
@@ -302,6 +304,14 @@ def test_nullspace_contained_matches_basis_oracle():
             all(not x for x in apply_to_vector(m, v)) for v in nullspace_basis(n_of)
         )
         assert nullspace_contained(n_of, m) is expected
+
+
+def test_equal_matrices_hash_alike():
+    a = CMatrix([[1, "1/2"], [1j, 0]])
+    b = CMatrix([[G(1), G(Fraction(1, 2))], [G(0, 1), G(0)]])
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b, a.transpose()}) == 2
+    assert {a: "a"}[b] == "a"
 
 
 def test_index_profile_is_a_plain_record():

@@ -96,6 +96,15 @@ def test_polynomial_entry_poly():
     assert str(p.entry_poly(1, 2)) == "2 + (1/3)*t"
 
 
+def test_equal_polynomials_hash_alike():
+    p = MatrixPolynomial([CMatrix([[1, 2]]), CMatrix([[0, "1/3"]])])
+    q = MatrixPolynomial([[[1, 2]], [[0, G(Fraction(1, 3))]], [[0, 0]]])
+    zero = MatrixPolynomial([], rows=1, cols=2)
+    assert p == q and hash(p) == hash(q)
+    assert len({p, q, zero, MatrixPolynomial([CMatrix([[0, 0]])])}) == 2
+    assert {p: "p"}[q] == "p"
+
+
 def test_polynomial_algebra():
     a = CMatrix([[1, 1], [0, 1]])
     p = MatrixPolynomial([CMatrix.identity(2), a])

@@ -188,6 +188,17 @@ def test_polynomial_trims_trailing_zeros():
     assert P().valuation() is None
 
 
+def test_polynomial_hash_agrees_with_equal_scalars():
+    for value in (0, 1, -3, Fraction(1, 2), 1j, G(2, -1)):
+        p = P(value)
+        assert p == value and hash(p) == hash(value)
+        assert value in {p} and p in {value}
+        assert {value: "v"}[p] == "v"
+    assert hash(P()) == hash(0) and P() in {0}
+    assert hash(P(1, 2)) == hash(ScalarPolynomial((G(1), G(2)), "t"))
+    assert len({P(1, 2), ScalarPolynomial((1, 2), "t"), P(1)}) == 2
+
+
 def test_polynomial_arithmetic():
     p = P(1, 2, 1)
     q = P(0, 1)
