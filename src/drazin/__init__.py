@@ -21,14 +21,11 @@ from .inverses import (
 )
 from .matrices import (
     CMatrix,
-    DimensionLimitError,
     IndexProfile,
     ShapeError,
     hstack,
-    max_dimension,
     nullspace_contained,
     range_contained,
-    set_max_dimension,
     vstack,
 )
 from .minors import (
@@ -57,7 +54,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CMatrix",
-    "DimensionLimitError",
     "DrazinAxioms",
     "DrazinResult",
     "GaussianRational",
@@ -75,7 +71,6 @@ __all__ = [
     "index_of",
     "index_subsets",
     "index_subsets_containing",
-    "max_dimension",
     "nullspace_contained",
     "ode_left_partial",
     "ode_right_partial",
@@ -86,7 +81,6 @@ __all__ = [
     "range_contained",
     "residual_left",
     "residual_right",
-    "set_max_dimension",
     "solve_ax",
     "solve_axb",
     "solve_vector",

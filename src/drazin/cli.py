@@ -17,15 +17,21 @@ JSON (or aligned text with --emit text) and include the index profile,
 the minor-sum denominator, restriction flags, and the intermediate
 vectors of the two-sided solver, so agreement between representations
 can be checked from the command line alone.  Each input matrix is prepared
-(square check, size guard, index walk, kernel) once by
-``inverses._prepare``, and every part of a report, such as the three
-routes of ``drazin`` or the series, profile and denominator of
-``ode-left``, comes from that one prepared object.  Failures produce a report
-with an "error" object and a distinct exit status per failure class:
-2 for unreadable input, 3 for the dimension guard, 4 for a group-inverse
-request on a matrix of higher index, 5 for shape mismatches, 1 otherwise.
-A stdout closed by its reader ends the process quietly with status 1.  The
-size limit (``--max-dimension`` or ``DRAZIN_MAX_DIM``) is ASCII digits.
+(square check, index walk, kernel) once by ``inverses._prepare``, and
+every part of a report, such as the three routes of ``drazin`` or the
+series, profile and denominator of ``ode-left``, comes from that one
+prepared object.  Failures produce a report with an "error" object and a
+distinct exit status per failure class:
+2 for unreadable input, 3 for a matrix above the size limit, 4 for a
+group-inverse request on a matrix of higher index, 5 for shape mismatches,
+1 otherwise.  A stdout closed by its reader ends the process quietly with
+status 1.
+
+The size limit bounds the cost of input from outside the program; the
+library itself accepts any size.  ``_run`` reads it once
+(``--max-dimension``, else ``DRAZIN_MAX_DIM``, else 10, as ASCII digits)
+and passes it to every ``load_matrix`` call, which refuses a file whose
+``rows`` or ``cols`` exceed it before decoding a single entry.
 """
 
 from __future__ import annotations
@@ -37,13 +43,7 @@ import re
 import sys
 
 from .inverses import GroupIndexError, _inverse, _prepare, group_inverse, verify_drazin
-from .matrices import (
-    CMatrix,
-    DimensionLimitError,
-    ShapeError,
-    max_dimension,
-    set_max_dimension,
-)
+from .matrices import CMatrix, ShapeError
 from .ode import MatrixPolynomial, _left_series, _right_series
 from .scalars import GaussianRational, _excerpt
 from .solvers import solve_ax, solve_axb, solve_xa
@@ -55,11 +55,16 @@ EXIT_GROUP_INDEX = 4
 EXIT_SHAPE = 5
 
 ENV_MAX_DIM = "DRAZIN_MAX_DIM"
+DEFAULT_MAX_DIMENSION = 10
 _LIMIT_TEXT = re.compile("[0-9]+")
 
 
 class InputError(ValueError):
     """A matrix file or option could not be read as specified."""
+
+
+class DimensionLimitError(ValueError):
+    """A matrix file declares more rows or columns than the size limit."""
 
 
 def _describe(value) -> str:
@@ -69,8 +74,11 @@ def _describe(value) -> str:
     return "a %s" % type(value).__name__
 
 
-def matrix_from_json(obj) -> CMatrix:
-    """Build a matrix from the JSON schema, validating every field."""
+def matrix_from_json(obj, limit=None) -> CMatrix:
+    """Build a matrix from the JSON schema, validating every field.
+
+    With a ``limit``, rows and cols above it are refused before any entry
+    is read."""
     if not isinstance(obj, dict):
         raise InputError("a matrix must be a JSON object, got %s" % _describe(obj))
     try:
@@ -79,6 +87,10 @@ def matrix_from_json(obj) -> CMatrix:
         raise InputError("matrix object lacks the %s field" % exc)
     if any(isinstance(v, bool) or not isinstance(v, int) or v < 1 for v in (rows, cols)):
         raise InputError("rows and cols must be positive integers")
+    if limit is not None and max(rows, cols) > limit:
+        raise DimensionLimitError(
+            "a %dx%d matrix exceeds the maximum dimension %d" % (rows, cols, limit)
+        )
     if not isinstance(entries, list) or len(entries) != rows * cols:
         raise InputError("expected %d entries, got %s" % (rows * cols, _describe(entries)))
     scalars = []
@@ -107,7 +119,7 @@ def matrix_to_json(m: CMatrix) -> dict:
     return {"rows": m.rows, "cols": m.cols, "entries": entries}
 
 
-def load_matrix(path: str) -> CMatrix:
+def load_matrix(path: str, limit: int) -> CMatrix:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             payload = json.load(handle)
@@ -117,7 +129,7 @@ def load_matrix(path: str) -> CMatrix:
         # JSONDecodeError, UnicodeDecodeError and int()'s digit cap are
         # ValueErrors; nesting past the recursion limit is a RecursionError
         raise InputError("%s is not valid JSON: %s" % (path, exc))
-    return matrix_from_json(payload)
+    return matrix_from_json(payload, limit)
 
 
 def _jsonify(value):
@@ -170,8 +182,8 @@ def _profile_dict(profile) -> dict:
     return {"index": profile.k, "rank": profile.r}
 
 
-def _run_drazin(args) -> dict:
-    prepared = _prepare(load_matrix(args.input))
+def _run_drazin(args, limit) -> dict:
+    prepared = _prepare(load_matrix(args.input, limit))
     methods = (
         ("column", "row", "oracle") if args.method == "all" else (args.method,)
     )
@@ -189,8 +201,8 @@ def _run_drazin(args) -> dict:
     return report
 
 
-def _run_group(args) -> dict:
-    a = load_matrix(args.input)
+def _run_group(args, limit) -> dict:
+    a = load_matrix(args.input, limit)
     outcome = group_inverse(a)
     return {
         "command": "group",
@@ -215,22 +227,24 @@ def _solve_report(command: str, report) -> dict:
     return out
 
 
-def _run_solve_ax(args) -> dict:
-    return _solve_report("solve-ax", solve_ax(load_matrix(args.A), load_matrix(args.B)))
+def _run_solve_ax(args, limit) -> dict:
+    a, b = load_matrix(args.A, limit), load_matrix(args.B, limit)
+    return _solve_report("solve-ax", solve_ax(a, b))
 
 
-def _run_solve_xa(args) -> dict:
-    return _solve_report("solve-xa", solve_xa(load_matrix(args.A), load_matrix(args.B)))
+def _run_solve_xa(args, limit) -> dict:
+    a, b = load_matrix(args.A, limit), load_matrix(args.B, limit)
+    return _solve_report("solve-xa", solve_xa(a, b))
 
 
-def _run_solve_axb(args) -> dict:
-    report = solve_axb(load_matrix(args.A), load_matrix(args.B), load_matrix(args.D))
-    return _solve_report("solve-axb", report)
+def _run_solve_axb(args, limit) -> dict:
+    a, b, d = (load_matrix(path, limit) for path in (args.A, args.B, args.D))
+    return _solve_report("solve-axb", solve_axb(a, b, d))
 
 
-def _run_ode(command: str, args) -> dict:
-    a = load_matrix(args.A)
-    b = load_matrix(args.B)
+def _run_ode(command: str, args, limit) -> dict:
+    a = load_matrix(args.A, limit)
+    b = load_matrix(args.B, limit)
     series = _left_series if command == "ode-left" else _right_series
     prepared = _prepare(a)
     return {
@@ -241,8 +255,8 @@ def _run_ode(command: str, args) -> dict:
     }
 
 
-def _run_verify(args) -> dict:
-    axioms = verify_drazin(load_matrix(args.A), load_matrix(args.X))
+def _run_verify(args, limit) -> dict:
+    axioms = verify_drazin(load_matrix(args.A, limit), load_matrix(args.X, limit))
     return {
         "command": "verify",
         "axioms": {
@@ -263,7 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--max-dimension",
         default=None,
-        help="size guard (overrides %s)" % ENV_MAX_DIM,
+        help="largest rows or cols accepted in any matrix file (default %d; "
+        "overrides %s)" % (DEFAULT_MAX_DIMENSION, ENV_MAX_DIM),
     )
     parser.add_argument(
         "--emit",
@@ -305,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help="polynomial solution of %s" % side)
         cmd.add_argument("--A", required=True, help="coefficient matrix file")
         cmd.add_argument("--B", required=True, help="right-hand side file")
-        cmd.set_defaults(handler=lambda args, _n=name: _run_ode(_n, args))
+        cmd.set_defaults(handler=lambda args, limit, _n=name: _run_ode(_n, args, limit))
 
     ver = sub.add_parser("verify", help="check the defining axioms for a candidate")
     ver.add_argument("--A", required=True, help="matrix file")
@@ -332,7 +347,7 @@ def _resolve_limit(args) -> int:
         return _parse_limit(args.max_dimension, "--max-dimension")
     raw = os.environ.get(ENV_MAX_DIM)
     if raw is None:
-        return max_dimension()
+        return DEFAULT_MAX_DIMENSION
     return _parse_limit(raw, ENV_MAX_DIM)
 
 
@@ -377,12 +392,10 @@ def main(argv=None) -> int:
 
 
 def _run(args) -> int:
-    previous = max_dimension()
     try:
-        set_max_dimension(_resolve_limit(args))
         # rendering happens inside the contract too: a component too long
         # for str() becomes an error report before anything is printed
-        _emit(args.handler(args), args.emit)
+        _emit(args.handler(args, _resolve_limit(args)), args.emit)
     except BrokenPipeError:
         raise
     except Exception as exc:  # noqa: BLE001 - every failure becomes a report
@@ -396,8 +409,6 @@ def _run(args) -> int:
             args.emit,
         )
         return code
-    finally:
-        set_max_dimension(previous)
     return 0
 
 

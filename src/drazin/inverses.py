@@ -21,21 +21,22 @@ Souriau-Frame algorithm and the Drazin pseudoinverse", 1973): B_(r-1), the
 coefficient of x^(n-r) in adj(x I + S).  A column-replaced sum through
 position i with replacement vector b is (B_(r-1) b)_i, a row-replaced sum
 through position j is (b B_(r-1))_j, and c_r is the matching coefficient of
-det(x I + S).  ``_prepare`` is the one way into a matrix for every guarded
-entry point here and in ``solvers`` and ``ode``: it checks that the matrix
-is square and within the size cap, walks its powers to the index, and then,
-on first use, computes B_(r-1) and c_r by the Faddeev-LeVerrier recurrence
-from the powers the walk ended on.  Each step of the recurrence is one
-integer product divided by -1, with c_j added to the diagonal; c_r is the
-trace of S B_(r-1) taken from the diagonal dot products alone, divided by
-r.  The column and row forms are products with B_(r-1) divided by c_r in
+det(x I + S).  ``_prepare`` is the one way into a matrix for every entry
+point here and in ``solvers`` and ``ode``: it checks that the matrix is
+square, walks its powers to the index, and then, on first use, computes
+B_(r-1) and c_r by the Faddeev-LeVerrier recurrence from the powers the
+walk ended on.  Each step of the recurrence is one integer product
+divided by -1, with c_j added to the diagonal; c_r is the trace of
+S B_(r-1) taken from the diagonal dot products alone, divided by r.  The
+column and row forms are products with B_(r-1) divided by c_r in
 the same integer loop (``matrices._divided_product``), so each entry of
-the result is built once, with one division.  ``index_of`` and
-``verify_drazin`` are not guarded.  The column and row forms therefore
-share this kernel, so their agreement checks associativity and
+the result is built once, with one division.  The column and row forms
+therefore share this kernel, so their agreement checks associativity and
 commutation rather than the sums themselves; the independent references
 are ``drazin_oracle`` and the enumeration in ``minors``, which the test
-suite compares against the kernel.
+suite compares against the kernel.  No entry point caps the size: every
+route here is polynomial in n, and only the command line, which reads
+input from outside the program, bounds the dimensions it accepts.
 
 ``drazin_oracle`` recomputes the inverse along a different route: the
 exact limit at 0 of (x I + A^(k+1))^-1 A^k, which is the solution of
@@ -62,7 +63,6 @@ from .matrices import (
     _divided_product,
     _gaussian_integers,
     _product_trace,
-    check_dimension_limit,
 )
 from .scalars import GaussianRational, ONE, ZERO
 
@@ -123,8 +123,7 @@ def index_of(a: CMatrix) -> IndexProfile:
     most n steps.  Invertible matrices have k = 0, singular group-invertible
     ones k = 1.
     """
-    _require_square(a)
-    return _walk(a)[0]
+    return _prepare(a).profile
 
 
 @dataclass(frozen=True)
@@ -182,10 +181,9 @@ class _Prepared:
 
 
 def _prepare(a: CMatrix) -> _Prepared:
-    """The one way into a matrix for every guarded entry point: the square
-    check, the size guard and the index walk, with the kernel to follow."""
+    """The one way into a matrix for every entry point: the square check
+    and the index walk, with the kernel to follow."""
     _require_square(a)
-    check_dimension_limit(a.rows)
     return _Prepared(*_walk(a))
 
 

@@ -38,42 +38,6 @@ class ShapeError(ValueError):
     """Operand dimensions do not fit the requested operation."""
 
 
-class DimensionLimitError(ValueError):
-    """A computation was asked for above the configured size cap."""
-
-
-# The entry points refuse matrices beyond this limit unless the caller
-# raises it explicitly (set_max_dimension, or the CLI's --max-dimension /
-# DRAZIN_MAX_DIM).  The one check is in ``inverses._prepare``, which every
-# guarded entry point of ``inverses``, ``solvers`` and ``ode`` goes
-# through; ``index_of`` and ``verify_drazin`` are not guarded.  The kernel
-# and the limit oracle are polynomial in n; the only exponential cost is
-# that of the public enumerations in ``minors``, which do not check the
-# limit.
-DEFAULT_MAX_DIMENSION = 10
-_max_dimension = DEFAULT_MAX_DIMENSION
-
-
-def max_dimension() -> int:
-    return _max_dimension
-
-
-def set_max_dimension(limit: int) -> None:
-    """Raise or lower the size cap applied by the entry points."""
-    if isinstance(limit, bool) or not isinstance(limit, int) or limit < 1:
-        raise ValueError("dimension limit must be a positive integer")
-    global _max_dimension
-    _max_dimension = limit
-
-
-def check_dimension_limit(*dims: int) -> None:
-    for d in dims:
-        if d > _max_dimension:
-            raise DimensionLimitError(
-                "dimension %d exceeds the configured maximum %d" % (d, _max_dimension)
-            )
-
-
 def _gaussian_integers(vectors):
     """Each vector q * v with q the lcm of its component denominators, as
     (q, real parts, imaginary parts) with plain int parts."""

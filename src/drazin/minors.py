@@ -1,10 +1,15 @@
 """Index-set enumeration and sums of principal minors.
 
-These are the combinatorial kernels behind every determinantal formula in
-the package: denominators are sums of order-r principal minors, numerators
-are the same sums taken over the index sets that contain the replaced row
-or column.  Index sets are strictly increasing tuples of 1-based positions,
-always produced in lexicographic order.
+These enumerations are the literal reference for the determinantal
+formulas, which the test suite compares production against: denominators
+are sums of order-r principal minors, numerators are the same sums taken
+over the index sets that contain the replaced row or column.  Production
+does not call them; it reads the same sums from one matrix coefficient
+(see ``inverses``).  Each sum evaluates its minors one by one, C(n, r) of
+them for a denominator, so the cost grows exponentially with n, and no
+size guard limits the matrices these functions accept.  Index sets are
+strictly increasing tuples of 1-based positions, always produced in
+lexicographic order.
 """
 
 from __future__ import annotations

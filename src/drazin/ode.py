@@ -11,11 +11,11 @@ where k is the index of A; an invertible A gives the constant A^(-1) B
 term X0 = A^D B is the paper's Cramer solution of AX = B: every entry an
 exact ratio of column-replaced minor sums over A^k B, read from the
 per-matrix numerator of ``inverses._prepare``, the kernel shared with the
-inverses and solvers, which also applies the square check and the size
-cap to A.  The higher coefficients follow from that one solve: since
-A^D A^m B = A^(m-1) A X0, the t^1 coefficient is B - A X0 and each next
-one is A times the previous divided by -m, one integer product with the
-division folded in.  The right-sided equation X' + XA = B is the mirror
+inverses and solvers, which also applies the square check to A.  The
+higher coefficients follow from that one solve: since A^D A^m B =
+A^(m-1) A X0, the t^1 coefficient is B - A X0 and each next one is A
+times the previous divided by -m, one integer product with the division
+folded in.  The right-sided equation X' + XA = B is the mirror
 image, from the row-replaced sums over B A^k.  The series themselves
 (``_left_series``, ``_right_series``) take the prepared object, so the
 command line can report the profile and denominator from the same one.

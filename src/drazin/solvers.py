@@ -8,11 +8,11 @@ columns of a matrix M are the entries of B_(r-1) M, row-replaced ones
 those of M B_(r-1).  Each solution is one integer product divided by its
 denominator in the same loop (``matrices._divided_product``): c_r for the
 one-sided systems, c_A c_B for both orders of the two-sided one.
-``_prepare`` also applies the square check and the size cap to each
-coefficient matrix; the solvers check only that the right-hand side
-fits.  The reported restriction flag states
-whether the right-hand side satisfies the range/nullspace hypotheses under
-which that matrix genuinely solves the unrestricted equation:
+``_prepare`` also applies the square check to each coefficient matrix;
+the solvers check only that the right-hand side fits.  The reported
+restriction flag states whether the right-hand side satisfies the
+range/nullspace hypotheses under which that matrix genuinely solves the
+unrestricted equation:
 
     AX = B    needs the column space of B inside that of A^k,
     XA = B    needs the nullspace of B to contain that of A^k,

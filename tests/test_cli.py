@@ -262,6 +262,30 @@ def test_dimension_guard_exit_code(capsys, tmp_path):
     assert code2 == 0
 
 
+def test_verify_inputs_are_size_checked(capsys, tmp_path):
+    big = write_matrix(tmp_path / "big.json", CMatrix.identity(11))
+    code, report = run_json(capsys, ["verify", "--A", big, "--X", big])
+    assert code == EXIT_DIMENSION
+    assert report["error"]["kind"] == "dimension"
+
+
+def test_right_hand_sides_are_size_checked(capsys, tmp_path):
+    a = write_matrix(tmp_path / "A.json", CMatrix.identity(2))
+    b = write_matrix(tmp_path / "B.json", CMatrix.zeros(2, 11))
+    code, report = run_json(capsys, ["solve-ax", "--A", a, "--B", b])
+    assert code == EXIT_DIMENSION
+    assert report["error"]["kind"] == "dimension"
+
+
+def test_size_is_checked_before_the_entries(capsys, tmp_path):
+    # 121 entries are missing, but the header alone is over the limit
+    path = tmp_path / "header.json"
+    path.write_text(json.dumps({"rows": 11, "cols": 11, "entries": []}))
+    code, report = run_json(capsys, ["drazin", "--input", str(path)])
+    assert code == EXIT_DIMENSION
+    assert report["error"]["kind"] == "dimension"
+
+
 def test_all_methods_agree_above_the_default_cap(capsys, tmp_path):
     # index 4 with a rank-5 core at n = 12: the oracle is polynomial in n,
     # so all three routes finish well within the test's time

@@ -4,8 +4,7 @@ import random
 
 import pytest
 
-from drazin import matrices
-from drazin.matrices import CMatrix, DimensionLimitError, IndexProfile, ShapeError
+from drazin.matrices import CMatrix, IndexProfile, ShapeError
 from drazin.inverses import (
     DrazinResult,
     GroupIndexError,
@@ -203,19 +202,6 @@ def test_transpose_compatibility():
     for _ in range(5):
         m = rand_singular(rng, 3)
         assert drazin_col(m.transpose()).inverse == drazin_col(m).inverse.transpose()
-
-
-def test_dimension_guard_applies():
-    big = CMatrix.identity(11)
-    with pytest.raises(DimensionLimitError):
-        drazin_col(big)
-    with pytest.raises(DimensionLimitError):
-        drazin_oracle(big)
-    matrices.set_max_dimension(11)
-    try:
-        assert drazin_col(big).inverse == big
-    finally:
-        matrices.set_max_dimension(matrices.DEFAULT_MAX_DIMENSION)
 
 
 def test_result_record_rejects_contradictory_denominator():

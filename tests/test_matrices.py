@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from drazin import matrices
 from drazin.matrices import (
     CMatrix,
-    DimensionLimitError,
     IndexProfile,
     ShapeError,
     hstack,
@@ -318,23 +317,6 @@ def test_index_profile_is_a_plain_record():
     assert IndexProfile(2, 1) == IndexProfile(2, 1)
     assert IndexProfile(2, 1) != IndexProfile(1, 1)
     assert IndexProfile(2, 1).k == 2
-
-
-def test_dimension_guard_configuration():
-    assert matrices.max_dimension() == matrices.DEFAULT_MAX_DIMENSION == 10
-    matrices.check_dimension_limit(10, 3)
-    with pytest.raises(DimensionLimitError):
-        matrices.check_dimension_limit(11)
-    matrices.set_max_dimension(12)
-    try:
-        matrices.check_dimension_limit(11)
-    finally:
-        matrices.set_max_dimension(matrices.DEFAULT_MAX_DIMENSION)
-    with pytest.raises(ValueError):
-        matrices.set_max_dimension(0)
-    with pytest.raises(ValueError):
-        matrices.set_max_dimension(True)
-    assert matrices.max_dimension() == matrices.DEFAULT_MAX_DIMENSION
 
 
 def test_printing_is_readable():

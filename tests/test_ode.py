@@ -7,11 +7,7 @@ from math import factorial
 import pytest
 
 from drazin.inverses import drazin_col, drazin_oracle, index_of
-from drazin.matrices import (
-    CMatrix,
-    DimensionLimitError,
-    ShapeError,
-)
+from drazin.matrices import CMatrix, ShapeError
 from drazin.ode import (
     MatrixPolynomial,
     ode_left_partial,
@@ -298,5 +294,3 @@ def test_ode_shape_errors_and_guard():
         ode_left_partial(square, CMatrix([[1, 2, 3], [4, 5, 6]]))
     with pytest.raises(ShapeError):
         ode_right_partial(square, CMatrix.identity(3))
-    with pytest.raises(DimensionLimitError):
-        ode_left_partial(CMatrix.identity(11), CMatrix.identity(11))

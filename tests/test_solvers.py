@@ -7,7 +7,6 @@ import pytest
 from drazin.inverses import drazin_col, index_of
 from drazin.matrices import (
     CMatrix,
-    DimensionLimitError,
     IndexProfile,
     ShapeError,
     hstack,
@@ -210,10 +209,3 @@ def test_solver_shape_errors():
     with pytest.raises(ShapeError):
         solve_axb(B_GRP, B_GRP, CMatrix([[1, 2], [3, 4]]))
 
-
-def test_solver_dimension_guard():
-    big = CMatrix.identity(11)
-    with pytest.raises(DimensionLimitError):
-        solve_ax(big, big)
-    with pytest.raises(DimensionLimitError):
-        solve_axb(big, CMatrix.identity(2), CMatrix.zeros(11, 2))
