@@ -30,8 +30,11 @@ status 1.
 The size limit bounds the cost of input from outside the program; the
 library itself accepts any size.  ``_run`` reads it once
 (``--max-dimension``, else ``DRAZIN_MAX_DIM``, else 10, as ASCII digits)
-and passes it to every ``load_matrix`` call, which refuses a file whose
-``rows`` or ``cols`` exceed it before decoding a single entry.
+and is the one caller of ``load_matrix``: each subcommand names its
+operand options once, in ``set_defaults(operands=...)``, and ``_run``
+loads those files in that order, refusing a file whose ``rows`` or
+``cols`` exceed the limit before decoding a single entry, then passes
+the matrices to the subcommand's handler.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ import json
 import os
 import re
 import sys
+from dataclasses import fields
 
 from .inverses import GroupIndexError, _inverse, _prepare, group_inverse, verify_drazin
 from .matrices import CMatrix, ShapeError
@@ -111,11 +115,7 @@ def matrix_from_json(obj, limit=None) -> CMatrix:
 
 
 def matrix_to_json(m: CMatrix) -> dict:
-    entries = [
-        [str(m.entry(i, j).re), str(m.entry(i, j).im)]
-        for i in range(1, m.rows + 1)
-        for j in range(1, m.cols + 1)
-    ]
+    entries = [_jsonify(v) for row in m.data for v in row]
     return {"rows": m.rows, "cols": m.cols, "entries": entries}
 
 
@@ -182,8 +182,8 @@ def _profile_dict(profile) -> dict:
     return {"index": profile.k, "rank": profile.r}
 
 
-def _run_drazin(args, limit) -> dict:
-    prepared = _prepare(load_matrix(args.input, limit))
+def _run_drazin(args, a) -> dict:
+    prepared = _prepare(a)
     methods = (
         ("column", "row", "oracle") if args.method == "all" else (args.method,)
     )
@@ -201,8 +201,7 @@ def _run_drazin(args, limit) -> dict:
     return report
 
 
-def _run_group(args, limit) -> dict:
-    a = load_matrix(args.input, limit)
+def _run_group(args, a) -> dict:
     outcome = group_inverse(a)
     return {
         "command": "group",
@@ -212,9 +211,10 @@ def _run_group(args, limit) -> dict:
     }
 
 
-def _solve_report(command: str, report) -> dict:
+def _run_solve(args, *operands) -> dict:
+    report = args.solver(*operands)
     out = {
-        "command": command,
+        "command": args.command,
         "x": report.x,
         "restriction_satisfied": report.restriction_satisfied,
         "profile_a": _profile_dict(report.profile_a),
@@ -227,44 +227,22 @@ def _solve_report(command: str, report) -> dict:
     return out
 
 
-def _run_solve_ax(args, limit) -> dict:
-    a, b = load_matrix(args.A, limit), load_matrix(args.B, limit)
-    return _solve_report("solve-ax", solve_ax(a, b))
-
-
-def _run_solve_xa(args, limit) -> dict:
-    a, b = load_matrix(args.A, limit), load_matrix(args.B, limit)
-    return _solve_report("solve-xa", solve_xa(a, b))
-
-
-def _run_solve_axb(args, limit) -> dict:
-    a, b, d = (load_matrix(path, limit) for path in (args.A, args.B, args.D))
-    return _solve_report("solve-axb", solve_axb(a, b, d))
-
-
-def _run_ode(command: str, args, limit) -> dict:
-    a = load_matrix(args.A, limit)
-    b = load_matrix(args.B, limit)
-    series = _left_series if command == "ode-left" else _right_series
+def _run_ode(args, a, b) -> dict:
+    series = _left_series if args.command == "ode-left" else _right_series
     prepared = _prepare(a)
     return {
-        "command": command,
-        "solution": series(prepared, a, b),
+        "command": args.command,
+        "solution": series(prepared, b),
         "profile": _profile_dict(prepared.profile),
         "denominator": prepared.denominator,
     }
 
 
-def _run_verify(args, limit) -> dict:
-    axioms = verify_drazin(load_matrix(args.A, limit), load_matrix(args.X, limit))
+def _run_verify(args, a, x) -> dict:
+    axioms = verify_drazin(a, x)
     return {
         "command": "verify",
-        "axioms": {
-            "power_left": axioms.power_left,
-            "outer": axioms.outer,
-            "commute": axioms.commute,
-            "power_right": axioms.power_right,
-        },
+        "axioms": {f.name: getattr(axioms, f.name) for f in fields(axioms)},
         "all_hold": axioms.all_hold,
     }
 
@@ -296,36 +274,35 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
         help="which representation to evaluate",
     )
-    one.set_defaults(handler=_run_drazin)
+    one.set_defaults(handler=_run_drazin, operands=("input",))
 
     grp = sub.add_parser("group", help="group inverse (index at most 1)")
     grp.add_argument("--input", required=True, help="matrix JSON file")
-    grp.set_defaults(handler=_run_group)
+    grp.set_defaults(handler=_run_group, operands=("input",))
 
-    for name, handler, wants in (
-        ("solve-ax", _run_solve_ax, "AB"),
-        ("solve-xa", _run_solve_xa, "AB"),
-        ("solve-axb", _run_solve_axb, "ABD"),
+    for name, solver, operands in (
+        ("solve-ax", solve_ax, ("A", "B")),
+        ("solve-xa", solve_xa, ("A", "B")),
+        ("solve-axb", solve_axb, ("A", "B", "D")),
     ):
         cmd = sub.add_parser(name, help="solve the %s system" % name[6:].upper())
         cmd.add_argument("--A", required=True, help="coefficient matrix file")
-        if "B" in wants:
-            cmd.add_argument("--B", required=True, help="matrix file")
-        if "D" in wants:
+        cmd.add_argument("--B", required=True, help="matrix file")
+        if "D" in operands:
             cmd.add_argument("--D", required=True, help="right-hand side file")
-        cmd.set_defaults(handler=handler)
+        cmd.set_defaults(handler=_run_solve, solver=solver, operands=operands)
 
     for name in ("ode-left", "ode-right"):
         side = "X' + AX = B" if name == "ode-left" else "X' + XA = B"
         cmd = sub.add_parser(name, help="polynomial solution of %s" % side)
         cmd.add_argument("--A", required=True, help="coefficient matrix file")
         cmd.add_argument("--B", required=True, help="right-hand side file")
-        cmd.set_defaults(handler=lambda args, limit, _n=name: _run_ode(_n, args, limit))
+        cmd.set_defaults(handler=_run_ode, operands=("A", "B"))
 
     ver = sub.add_parser("verify", help="check the defining axioms for a candidate")
     ver.add_argument("--A", required=True, help="matrix file")
     ver.add_argument("--X", required=True, help="candidate inverse file")
-    ver.set_defaults(handler=_run_verify)
+    ver.set_defaults(handler=_run_verify, operands=("A", "X"))
     return parser
 
 
@@ -395,7 +372,9 @@ def _run(args) -> int:
     try:
         # rendering happens inside the contract too: a component too long
         # for str() becomes an error report before anything is printed
-        _emit(args.handler(args, _resolve_limit(args)), args.emit)
+        limit = _resolve_limit(args)
+        operands = [load_matrix(getattr(args, name), limit) for name in args.operands]
+        _emit(args.handler(args, *operands), args.emit)
     except BrokenPipeError:
         raise
     except Exception as exc:  # noqa: BLE001 - every failure becomes a report

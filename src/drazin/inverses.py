@@ -22,14 +22,15 @@ coefficient of x^(n-r) in adj(x I + S).  A column-replaced sum through
 position i with replacement vector b is (B_(r-1) b)_i, a row-replaced sum
 through position j is (b B_(r-1))_j, and c_r is the matching coefficient of
 det(x I + S).  ``_prepare`` is the one way into a matrix for every entry
-point here and in ``solvers`` and ``ode``: it checks that the matrix is
-square, walks its powers to the index, and then, on first use, computes
-B_(r-1) and c_r by the Faddeev-LeVerrier recurrence from the powers the
-walk ended on.  Each step of the recurrence is one integer product
-divided by -1, with c_j added to the diagonal; c_r is the trace of
-S B_(r-1) taken from the diagonal dot products alone, divided by r.  The
-column and row forms are products with B_(r-1) divided by c_r in
-the same integer loop (``matrices._divided_product``), so each entry of
+point here (``index_of`` and ``verify_drazin`` included) and in
+``solvers`` and ``ode``, and the only caller of the walk: it checks that
+the matrix is square, keeps it, walks its powers to the index, and then,
+on first use, computes B_(r-1) and c_r by the Faddeev-LeVerrier
+recurrence from the powers the walk ended on.  Each step of the
+recurrence is one integer product divided by -1, with c_j added to the
+diagonal; c_r is the trace of S B_(r-1) taken from the diagonal dot
+products alone, divided by r.  The column and row forms are products
+with B_(r-1) divided by c_r in the same integer loop (``matrices._divided_product``), so each entry of
 the result is built once, with one division.  The column and row forms
 therefore share this kernel, so their agreement checks associativity and
 commutation rather than the sums themselves; the independent references
@@ -94,11 +95,6 @@ class DrazinResult:
             )
 
 
-def _require_square(a: CMatrix) -> None:
-    if not a.is_square:
-        raise ShapeError("expected a square matrix, got %dx%d" % (a.rows, a.cols))
-
-
 def _walk(a: CMatrix):
     """(IndexProfile, A^k, A^(k+1)): the profile with the two powers the
     walk ends on."""
@@ -130,16 +126,17 @@ def index_of(a: CMatrix) -> IndexProfile:
 class _Prepared:
     """One matrix ready for every determinantal formula.
 
-    ``profile``, ``power_k`` and ``power_k1`` are what the index walk ended
-    on.  ``numerator`` is B_(r-1), the coefficient of x^(n-r) in
-    adj(x I + S) with S = A^(k+1), and ``denominator`` is c_r, the sum of
-    the order-r principal minors of S.  At rank zero they are the zero
-    matrix and 1, the coefficients of x^n in adj(x I + S) and det(x I + S).
-    Both are computed on first use, so a caller that needs only the walk
-    (the oracle, or ``group_inverse`` refusing index 2 and above) never pays
-    for them.
+    ``matrix`` is A itself, and ``profile``, ``power_k`` and ``power_k1``
+    are what the index walk ended on.  ``numerator`` is B_(r-1), the
+    coefficient of x^(n-r) in adj(x I + S) with S = A^(k+1), and
+    ``denominator`` is c_r, the sum of the order-r principal minors of S.
+    At rank zero they are the zero matrix and 1, the coefficients of x^n
+    in adj(x I + S) and det(x I + S).  Both are computed on first use, so
+    a caller that needs only the walk (the oracle, ``verify_drazin``, or
+    ``group_inverse`` refusing index 2 and above) never pays for them.
     """
 
+    matrix: CMatrix
     profile: IndexProfile
     power_k: CMatrix
     power_k1: CMatrix
@@ -181,10 +178,12 @@ class _Prepared:
 
 
 def _prepare(a: CMatrix) -> _Prepared:
-    """The one way into a matrix for every entry point: the square check
-    and the index walk, with the kernel to follow."""
-    _require_square(a)
-    return _Prepared(*_walk(a))
+    """The one way into a matrix for every entry point, and the one caller
+    of the walk: the square check and the index walk, with the kernel to
+    follow."""
+    if not a.is_square:
+        raise ShapeError("expected a square matrix, got %dx%d" % (a.rows, a.cols))
+    return _Prepared(a, *_walk(a))
 
 
 def _inverse(prepared: _Prepared, method: str) -> CMatrix:
@@ -297,11 +296,12 @@ class DrazinAxioms:
 
 
 def verify_drazin(a: CMatrix, x: CMatrix) -> DrazinAxioms:
-    """Check the Drazin axioms exactly, with k = Ind(A)."""
-    _require_square(a)
+    """Check the Drazin axioms exactly, with k = Ind(A), from A's
+    prepared object (the walk alone, never the kernel)."""
+    prepared = _prepare(a)
     if (x.rows, x.cols) != (a.rows, a.cols):
         raise ShapeError("candidate inverse must match the matrix dimensions")
-    _, power_k, power_k1 = _walk(a)
+    power_k, power_k1 = prepared.power_k, prepared.power_k1
     ax = a @ x
     xa = x @ a
     return DrazinAxioms(

@@ -108,6 +108,11 @@ def _bareiss(rows, cols, clear_above=False):
     return pivots, sign, (prev_re, prev_im)
 
 
+def _bad_row(row):
+    kind = type(row).__name__
+    raise TypeError("a matrix row must be a list or tuple, got a %s" % kind)
+
+
 @dataclass(frozen=True)
 class IndexProfile:
     """Smallest k with rank A^(k+1) = rank A^k, together with r = rank A^k."""
@@ -122,8 +127,10 @@ class CMatrix:
     __slots__ = ("_data", "_rows", "_cols")
 
     def __init__(self, rows):
+        parse = GaussianRational.parse
         data = tuple(
-            tuple(GaussianRational.parse(v) for v in row) for row in rows
+            tuple(map(parse, row)) if isinstance(row, (list, tuple)) else _bad_row(row)
+            for row in rows
         )
         if not data or not data[0]:
             raise ShapeError("a matrix needs at least one row and one column")

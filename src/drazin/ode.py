@@ -17,8 +17,9 @@ A^(m-1) A X0, the t^1 coefficient is B - A X0 and each next one is A
 times the previous divided by -m, one integer product with the division
 folded in.  The right-sided equation X' + XA = B is the mirror
 image, from the row-replaced sums over B A^k.  The series themselves
-(``_left_series``, ``_right_series``) take the prepared object, so the
-command line can report the profile and denominator from the same one.
+(``_left_series``, ``_right_series``) take only the prepared object,
+which carries A, and the right-hand side, so the command line can
+report the profile and denominator from the same one.
 
 The residual helpers substitute a polynomial back into the equation and
 return X'(t) + AX(t) - B exactly; for the polynomials built here the
@@ -212,23 +213,9 @@ class MatrixPolynomial:
     def __hash__(self):
         return hash((self._coeffs, self._rows, self._cols))
 
-    def _entry_text(self, i, j):
-        parts = []
-        for power, c in enumerate(self._coeffs):
-            value = c.entry(i, j)
-            if not value:
-                continue
-            if power == 0:
-                parts.append(str(value))
-            elif power == 1:
-                parts.append("(%s)*%s" % (value, self._variable))
-            else:
-                parts.append("(%s)*%s^%d" % (value, self._variable, power))
-        return " + ".join(parts) if parts else "0"
-
     def __str__(self):
         cells = [
-            [self._entry_text(i, j) for j in range(1, self._cols + 1)]
+            [str(self.entry_poly(i, j)) for j in range(1, self._cols + 1)]
             for i in range(1, self._rows + 1)
         ]
         widths = [
@@ -260,21 +247,22 @@ def ode_left_partial(a: CMatrix, b: CMatrix) -> MatrixPolynomial:
     never exceeds the index of A, and an invertible A yields the constant
     solution of the algebraic system.
     """
-    return _left_series(_prepare(a), a, b)
+    return _left_series(_prepare(a), b)
 
 
 def ode_right_partial(a: CMatrix, b: CMatrix) -> MatrixPolynomial:
     """Partial polynomial solution of X' + XA = B, via row-replaced sums."""
-    return _right_series(_prepare(a), a, b)
+    return _right_series(_prepare(a), b)
 
 
-def _left_series(prepared: _Prepared, a: CMatrix, b: CMatrix) -> MatrixPolynomial:
-    """ode_left_partial from A's prepared object.
+def _left_series(prepared: _Prepared, b: CMatrix) -> MatrixPolynomial:
+    """ode_left_partial from A's prepared object, which carries A.
 
     With X0 = A^D B, the t^m coefficient is
     ((-1)^(m-1)/m!) A^(m-1) (B - A X0), so C_1 = B - A X0 and
     C_m = A C_(m-1) / (-m).
     """
+    a = prepared.matrix
     _check_rhs(a, b, "X' + AX = B")
     x0 = prepared.col_form(prepared.power_k @ b)
     coeffs = [x0]
@@ -285,9 +273,10 @@ def _left_series(prepared: _Prepared, a: CMatrix, b: CMatrix) -> MatrixPolynomia
     return MatrixPolynomial(coeffs, rows=a.rows, cols=a.rows)
 
 
-def _right_series(prepared: _Prepared, a: CMatrix, b: CMatrix) -> MatrixPolynomial:
+def _right_series(prepared: _Prepared, b: CMatrix) -> MatrixPolynomial:
     """ode_right_partial from A's prepared object: the mirror image,
     C_1 = B - X0 A and C_m = C_(m-1) A / (-m)."""
+    a = prepared.matrix
     _check_rhs(a, b, "X' + XA = B")
     x0 = prepared.row_form(b @ prepared.power_k)
     coeffs = [x0]

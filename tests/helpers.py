@@ -1,5 +1,7 @@
 """Shared golden fixtures and deterministic random matrix builders."""
 
+from fractions import Fraction
+
 from drazin.matrices import CMatrix
 from drazin.scalars import GaussianRational
 
@@ -176,3 +178,15 @@ def rand_with_profile(rng, n, r, k):
         size = rng.randint(1, min(k, n - start)) if start < n else 0
     s, s_inv = unimodular_pair(rng, n, shears=2 * n)
     return s @ CMatrix(block) @ s_inv
+
+
+def rational_similar(rng, a):
+    """D A D^-1 for a diagonal D of random p/q with 1 <= p, q <= 2^16.
+
+    Entry (i, j) is a_ij d_i / d_j, so the similarity keeps (n, r, k)
+    exact while putting denominators into the off-diagonal entries.
+    """
+    d = [Fraction(rng.randint(1, 2**16), rng.randint(1, 2**16)) for _ in range(a.rows)]
+    return CMatrix(
+        [[v * (d[i] / d[j]) for j, v in enumerate(row)] for i, row in enumerate(a.data)]
+    )

@@ -6,7 +6,10 @@ determinantal formula reads its minor sums from that one matrix, so here
 it is compared entry by entry with the enumeration in ``minors`` and, end
 to end, with the limit oracle, over every reachable (n, r, k) with
 n <= 6.  Above that, index 3 and higher with a nonzero core is checked up
-to n = 12 against the oracle and the axioms.
+to n = 12 against the oracle and the axioms.  Every profile of index 2
+and above with n <= 5 is also checked on a diagonal similarity image
+with p/q scales, so the walk, the recurrence and the oracle run on rows
+with denominators.
 """
 
 import random
@@ -29,13 +32,15 @@ from drazin.minors import (
 )
 from drazin.scalars import ONE
 
-from helpers import rand_scalar, rand_with_profile, reachable_profiles
+from helpers import rand_scalar, rand_with_profile, rational_similar, reachable_profiles
 
 PROFILES = reachable_profiles(6)
 
 
-def check_kernel(n, r, k, rng):
+def check_kernel(n, r, k, rng, rational=False):
     a = rand_with_profile(rng, n, r, k)
+    if rational:
+        a = rational_similar(rng, a)
     prepared = _prepare(a)
     assert prepared.profile == IndexProfile(k, r)
     assert prepared.power_k == a ** k
@@ -55,6 +60,7 @@ def check_kernel(n, r, k, rng):
             assert by_col[i - 1] == sum_minors_col_replaced(s, i, b, r)
             assert by_row[i - 1] == sum_minors_row_replaced(s, i, b, r)
     assert drazin_col(a).inverse == drazin_oracle(a)
+    return a
 
 
 @pytest.mark.parametrize("n,r,k", PROFILES)
@@ -66,6 +72,19 @@ def test_kernel_matches_enumeration_on_every_profile(n, r, k):
 @given(st.sampled_from(PROFILES), st.integers(0, 2**32 - 1))
 def test_kernel_matches_enumeration_on_random_matrices(profile, seed):
     check_kernel(*profile, random.Random(seed))
+
+
+RATIONAL_PROFILES = [(n, r, k) for n, r, k in reachable_profiles(5) if k >= 2]
+
+
+@pytest.mark.parametrize("n,r,k", RATIONAL_PROFILES)
+def test_kernel_matches_enumeration_on_rational_rows(n, r, k):
+    a = check_kernel(n, r, k, random.Random(7000 + 100 * n + 10 * r + k), rational=True)
+    assert any(v.re.denominator > 1 or v.im.denominator > 1 for row in a.data for v in row)
+    column = drazin_col(a).inverse
+    assert drazin_row(a).inverse == column
+    assert drazin_oracle(a, power_first=True) == column
+    assert verify_drazin(a, column).all_hold
 
 
 def test_profiles_cover_index_three_with_a_nonzero_core():

@@ -57,6 +57,22 @@ def test_shape_errors():
         CMatrix([])
 
 
+@pytest.mark.parametrize(
+    "rows, kind",
+    [
+        (["12", "34"], "str"),
+        ("12", "str"),
+        ([b"12"], "bytes"),
+        ([{1: 0, 2: 0}], "dict"),
+    ],
+    ids=["str-rows", "str-matrix", "bytes-row", "dict-row"],
+)
+def test_rows_must_be_lists_or_tuples(rows, kind):
+    with pytest.raises(TypeError, match="got a %s$" % kind):
+        CMatrix(rows)
+    assert CMatrix(([1, 2], (3, 4))) == CMatrix([[1, 2], [3, 4]])
+
+
 def test_entry_row_col_are_one_based():
     assert A_IDX2.entry(1, 1) == G(2)
     assert A_IDX2.entry(2, 1) == G(0, -1)

@@ -5,14 +5,16 @@ coefficient matrix, and none of them, nor ``index_of`` or
 ``verify_drazin``, caps the size: only the command line bounds the
 dimensions of what it reads.  The oracle and a refused group inverse read
 only the walk, never the kernel.  Through the command line, each input
-matrix is walked once, whatever the subcommand reports from it.
+matrix is walked once, whatever the subcommand reports from it, and each
+operand file is read once, in the order the subcommand declares its
+operands.
 """
 
 import json
 
 import pytest
 
-from drazin import inverses
+from drazin import cli, inverses
 from drazin.cli import main, matrix_to_json
 from drazin.inverses import (
     GroupIndexError,
@@ -93,34 +95,59 @@ def write_matrix(path, matrix):
 
 
 @pytest.mark.parametrize(
-    "argv, walked",
+    "argv, walked, loaded",
     [
-        pytest.param(["drazin", "--input", "{A}"], [A_IDX2], id="drazin"),
+        pytest.param(["drazin", "--input", "{A}"], [A_IDX2], "A", id="drazin"),
         pytest.param(
-            ["drazin", "--input", "{A}", "--method", "oracle"], [A_IDX2], id="oracle"
+            ["drazin", "--input", "{A}", "--method", "oracle"],
+            [A_IDX2],
+            "A",
+            id="oracle",
         ),
-        pytest.param(["ode-left", "--A", "{A}", "--B", "{D}"], [A_IDX2], id="ode-left"),
-        pytest.param(["ode-right", "--A", "{A}", "--B", "{D}"], [A_IDX2], id="ode-right"),
+        pytest.param(["group", "--input", "{B}"], [B_GRP], "B", id="group"),
+        pytest.param(
+            ["ode-left", "--A", "{A}", "--B", "{D}"], [A_IDX2], "AD", id="ode-left"
+        ),
+        pytest.param(
+            ["ode-right", "--A", "{A}", "--B", "{D}"], [A_IDX2], "AD", id="ode-right"
+        ),
         pytest.param(
             ["solve-axb", "--A", "{A}", "--B", "{B}", "--D", "{D}"],
             [A_IDX2, B_GRP],
+            "ABD",
             id="solve-axb",
+        ),
+        pytest.param(
+            ["solve-axb", "--D", "{D}", "--B", "{B}", "--A", "{A}"],
+            [A_IDX2, B_GRP],
+            "ABD",
+            id="solve-axb-reordered",
+        ),
+        pytest.param(
+            ["verify", "--X", "{X}", "--A", "{A}"], [A_IDX2], "AX", id="verify"
         ),
     ],
 )
-def test_cli_walks_each_input_once(capsys, monkeypatch, tmp_path, argv, walked):
+def test_cli_walks_each_input_once(capsys, monkeypatch, tmp_path, argv, walked, loaded):
+    inverse = drazin_col(A_IDX2).inverse
     files = {
         name: write_matrix(tmp_path / (name + ".json"), m)
-        for name, m in (("A", A_IDX2), ("B", B_GRP), ("D", D_RHS))
+        for name, m in (("A", A_IDX2), ("B", B_GRP), ("D", D_RHS), ("X", inverse))
     }
-    seen = []
-    original = inverses._walk
+    seen, read = [], []
+    original_walk, original_load = inverses._walk, cli.load_matrix
 
     def counting_walk(a):
         seen.append(a)
-        return original(a)
+        return original_walk(a)
+
+    def recording_load(path, limit):
+        read.append(path)
+        return original_load(path, limit)
 
     monkeypatch.setattr(inverses, "_walk", counting_walk)
+    monkeypatch.setattr(cli, "load_matrix", recording_load)
     assert main([arg.format(**files) for arg in argv]) == 0
-    capsys.readouterr()
+    assert json.loads(capsys.readouterr().out).get("all_hold", True)
     assert seen == walked
+    assert read == [files[name] for name in loaded]
