@@ -26,13 +26,24 @@ point here (``index_of`` and ``verify_drazin`` included) and in
 ``solvers`` and ``ode``, and the only caller of the walk: it checks that
 the matrix is square, keeps it, walks its powers to the index, and then,
 on first use, computes B_(r-1) and c_r by the Faddeev-LeVerrier
-recurrence from the powers the walk ended on.  Each step of the
-recurrence is one integer product divided by -1, with c_j added to the
-diagonal; c_r is the trace of S B_(r-1) taken from the diagonal dot
-products alone, divided by r.  The column and row forms are products
-with B_(r-1) divided by c_r in the same integer loop (``matrices._divided_product``), so each entry of
-the result is built once, with one division.  The column and row forms
-therefore share this kernel, so their agreement checks associativity and
+recurrence from the powers the walk ended on.
+
+The walk and the recurrence run on Z[i] row forms (``matrices``: per
+row, the least common denominator q and the integer numerators, reduced
+by one gcd per row).  The walk multiplies the row form of A^m by A's
+column form, computed once, and ranks each power by ``matrices._bareiss``
+on its integers.  Each step of the recurrence is one row product
+B_(j-1) S with S's column form, computed once (B_(j-1) is a polynomial in
+S, so it commutes with S); c_j is read from the product's diagonal, and
+c_r from the n diagonal dot products of B_(r-1) with S alone.  No
+intermediate power or iterate is ever a Fraction or a CMatrix: the
+prepared object keeps the row forms of A^k, A^(k+1) and B_(r-1), and
+builds their CMatrix views (``power_k``, ``power_k1``, ``numerator``)
+only when a caller asks for them.  The column and row forms are products
+of B_(r-1)'s row or column form with the source's, divided by c_r in the
+same integer loop (``matrices._quotient``), so each entry of the result
+is built once, with one division.  The column and row forms therefore
+share this kernel, so their agreement checks associativity and
 commutation rather than the sums themselves; the independent references
 are ``drazin_oracle`` and the enumeration in ``minors``, which the test
 suite compares against the kernel.  No entry point caps the size: every
@@ -54,7 +65,9 @@ kernel.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from .matrices import (
     CMatrix,
@@ -62,10 +75,16 @@ from .matrices import (
     ShapeError,
     _bareiss,
     _divided_product,
+    _dots,
+    _from_rows,
     _gaussian_integers,
-    _product_trace,
+    _quotient,
+    _rank,
+    _reduced,
+    _row_product,
+    _transposed,
 )
-from .scalars import GaussianRational, ONE, ZERO
+from .scalars import GaussianRational, ONE
 
 
 class GroupIndexError(ValueError):
@@ -95,19 +114,24 @@ class DrazinResult:
             )
 
 
+def _identity_rows(n):
+    return [(1, [int(i == j) for j in range(n)], [0] * n) for i in range(n)]
+
+
 def _walk(a: CMatrix):
-    """(IndexProfile, A^k, A^(k+1)): the profile with the two powers the
-    walk ends on."""
-    previous_rank = a.rows
-    previous = CMatrix.identity(a.rows)
-    power = a
+    """(IndexProfile, A^k, A^(k+1)): the profile with the row forms of the
+    two powers the walk ends on.  Each step multiplies by A's column form,
+    computed once, and ranks the new power's row form."""
+    columns = _gaussian_integers(zip(*a.data))
+    previous_rank, previous = a.rows, _identity_rows(a.rows)
+    power = _gaussian_integers(a.data)
     k = 0
     while True:
-        current = power.rank()
+        current = _rank(power)
         if current == previous_rank:
             return IndexProfile(k, current), previous, power
         previous_rank, previous = current, power
-        power = power @ a
+        power = _row_product(power, columns)
         k += 1
 
 
@@ -122,59 +146,102 @@ def index_of(a: CMatrix) -> IndexProfile:
     return _prepare(a).profile
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Prepared:
     """One matrix ready for every determinantal formula.
 
-    ``matrix`` is A itself, and ``profile``, ``power_k`` and ``power_k1``
-    are what the index walk ended on.  ``numerator`` is B_(r-1), the
-    coefficient of x^(n-r) in adj(x I + S) with S = A^(k+1), and
-    ``denominator`` is c_r, the sum of the order-r principal minors of S.
-    At rank zero they are the zero matrix and 1, the coefficients of x^n
-    in adj(x I + S) and det(x I + S).  Both are computed on first use, so
-    a caller that needs only the walk (the oracle, ``verify_drazin``, or
-    ``group_inverse`` refusing index 2 and above) never pays for them.
+    ``matrix`` is A itself, and ``profile``, ``rows_k`` and ``rows_k1`` are
+    what the index walk ended on: the row forms of A^k and S = A^(k+1).
+    ``_kernel`` holds the row form of B_(r-1), the coefficient of x^(n-r)
+    in adj(x I + S), with c_r, the sum of the order-r principal minors of
+    S.  At rank zero they are the zero matrix and 1, the coefficients of
+    x^n in adj(x I + S) and det(x I + S).  The kernel is computed on first
+    use, so a caller that needs only the walk (the oracle,
+    ``verify_drazin``, or ``group_inverse`` refusing index 2 and above)
+    never pays for it.  ``power_k``, ``power_k1`` and ``numerator`` are
+    the CMatrix views of the three row forms, also built on first use.
     """
 
     matrix: CMatrix
     profile: IndexProfile
-    power_k: CMatrix
-    power_k1: CMatrix
+    rows_k: list
+    rows_k1: list
+
+    @cached_property
+    def power_k(self) -> CMatrix:
+        return _from_rows(self.rows_k)
+
+    @cached_property
+    def power_k1(self) -> CMatrix:
+        return _from_rows(self.rows_k1)
+
+    @cached_property
+    def _kernel(self):
+        """(row form of B_(r-1), c_r) by Faddeev-LeVerrier on S: B_0 = I,
+        and for j >= 1 c_j = tr(B_(j-1) S) / j, B_j = c_j I - B_(j-1) S,
+        one row product with S's column form per step (B_(j-1) is a
+        polynomial in S, so it commutes with S)."""
+        n, r = self.matrix.rows, self.profile.r
+        if r == 0:
+            return [(1, [0] * n, [0] * n) for _ in range(n)], ONE
+        s = _transposed(self.rows_k1)
+        b = _identity_rows(n)
+        for j in range(1, r):
+            p = _row_product(b, s)
+            diagonal = [(q, re[i], im[i]) for i, (q, re, im) in enumerate(p)]
+            g, (cr,), (ci,) = _trace_over(diagonal, j)
+            b = []
+            for i, (q, re, im) in enumerate(p):
+                d = lcm(q, g)
+                f, h = -(d // q), d // g
+                re, im = [x * f for x in re], [x * f for x in im]
+                re[i] += cr * h
+                im[i] += ci * h
+                b.append(_reduced(d, re, im))
+        # c_r from the n diagonal dot products of B_(r-1) S alone
+        diagonal = []
+        for (q, ar, ai), column in zip(b, s):
+            (sr,), (si,) = _dots(ar, ai, [column])
+            diagonal.append((q * column[0], sr, si))
+        q, (cr,), (ci,) = _trace_over(diagonal, r)
+        return b, GaussianRational(Fraction(cr, q), Fraction(ci, q))
 
     @cached_property
     def numerator(self) -> CMatrix:
-        """B_(r-1) by Faddeev-LeVerrier on S: B_0 = I, and for j >= 1
-        c_j = tr(S B_(j-1)) / j, B_j = c_j I - S B_(j-1).  Each step forms
-        -S B_(j-1) as the product divided by -1, reads c_j from its
-        diagonal and adds c_j to the n diagonal entries."""
-        s, r = self.power_k1, self.profile.r
-        n = s.rows
-        if r == 0:
-            return CMatrix.zeros(n, n)
-        b = CMatrix.identity(n)
-        for j in range(1, r):
-            rows = (_divided_product(s, b, -ONE) if j > 1 else -s).data
-            c = -sum((rows[i][i] for i in range(n)), ZERO) / j
-            b = CMatrix(
-                [row[:i] + (row[i] + c,) + row[i + 1:] for i, row in enumerate(rows)]
-            )
-        return b
+        return _from_rows(self._kernel[0])
 
-    @cached_property
+    @property
     def denominator(self) -> GaussianRational:
-        """c_r = tr(S B_(r-1)) / r, from the diagonal dot products alone."""
-        r = self.profile.r
-        if r == 0:
-            return ONE
-        return _product_trace(self.power_k1, self.numerator) / r
+        return self._kernel[1]
 
-    def col_form(self, source: CMatrix) -> CMatrix:
-        """Column-replaced sums over the columns of source, divided by c_r."""
-        return _divided_product(self.numerator, source, self.denominator)
+    def col_form(self, columns) -> CMatrix:
+        """Column-replaced sums over the columns of a column form, divided
+        by c_r."""
+        b, c = self._kernel
+        return _quotient(b, columns, c)
 
-    def row_form(self, source: CMatrix) -> CMatrix:
-        """Row-replaced sums over the rows of source, divided by c_r."""
-        return _divided_product(source, self.numerator, self.denominator)
+    def row_form(self, rows) -> CMatrix:
+        """Row-replaced sums over the rows of a row form, divided by c_r."""
+        b, c = self._kernel
+        return _quotient(rows, _transposed(b), c)
+
+    def inverse_times(self, b: CMatrix) -> CMatrix:
+        """A^D B: the column form over A^k B, whose column form is the row
+        form of B^T (A^k)^T."""
+        return self.col_form(_row_product(_gaussian_integers(zip(*b.data)), self.rows_k))
+
+    def times_inverse(self, b: CMatrix) -> CMatrix:
+        """B A^D: the row form over B A^k."""
+        return self.row_form(_row_product(_gaussian_integers(b.data), _transposed(self.rows_k)))
+
+
+def _trace_over(terms, j):
+    """(sum of (s_r + s_i i) / q over the (q, s_r, s_i) terms) / j, as a
+    one-entry row form (q, [re], [im])."""
+    q = lcm(*[t for t, _, _ in terms])
+    re = sum(sr * (q // t) for t, sr, _ in terms)
+    im = sum(si * (q // t) for t, _, si in terms)
+    return _reduced(q * j, [re], [im])
 
 
 def _prepare(a: CMatrix) -> _Prepared:
@@ -189,9 +256,9 @@ def _prepare(a: CMatrix) -> _Prepared:
 def _inverse(prepared: _Prepared, method: str) -> CMatrix:
     """The Drazin inverse by one route: "column", "row" or "oracle"."""
     if method == "column":
-        return prepared.col_form(prepared.power_k)
+        return prepared.col_form(_transposed(prepared.rows_k))
     if method == "row":
-        return prepared.row_form(prepared.power_k)
+        return prepared.row_form(prepared.rows_k)
     return _limit(prepared)
 
 
@@ -226,14 +293,14 @@ def projector_col(a: CMatrix) -> CMatrix:
     """(Drazin inverse of A) A, the projector onto the range of A^k along
     its nullspace, via the column determinantal form."""
     prepared = _prepare(a)
-    return prepared.col_form(prepared.power_k1)
+    return prepared.col_form(_transposed(prepared.rows_k1))
 
 
 def projector_row(a: CMatrix) -> CMatrix:
     """A (Drazin inverse of A), the same projector (the two products agree
     by the commutation identity), via the row determinantal form."""
     prepared = _prepare(a)
-    return prepared.row_form(prepared.power_k1)
+    return prepared.row_form(prepared.rows_k1)
 
 
 # --- the limit oracle ---

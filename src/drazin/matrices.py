@@ -6,21 +6,29 @@ row and column indices are 1-based throughout the package, matching the
 usual mathematical convention for minors and index sets; internal storage
 is an ordinary 0-based tuple of row tuples.
 
-Products, determinants and ranks run on plain ``int`` pairs: each row
-(and each column of a product's right factor) is scaled by the lcm of
-its denominators to Gaussian integers.  A product entry is then one
-integer dot product over q_i * p_j.  ``_bareiss`` is the one
-fraction-free elimination over Z[i]: ``rank`` counts its pivots, ``det``
-is its last pivot over the product of the row scales, and the limit
-oracle in ``inverses`` runs it with the rows above each pivot cleared
-too.  Scaling row by row, not by one lcm for the whole matrix, keeps the
-integers short when the rows' denominators differ.
+Products, determinants and ranks run on plain ``int`` pairs.  The Z[i]
+row form of a matrix (``_gaussian_integers``) stores per row (q, re, im):
+q is the least common denominator of the row, and re and im are the
+integer numerators.  It is canonical (the gcd of q with every numerator
+is 1); the column form is the same for the columns.  ``_dots`` is the one
+integer dot-product loop.  ``_row_product`` keeps a product as a row form:
+row i's dot products over q_i lcm(p), reduced by one gcd, which are the
+integers ``_gaussian_integers`` gives for the Fraction-normalised
+product, so repeated products (the index walk and Faddeev-LeVerrier in
+``inverses``) never build a Fraction.  ``_transposed`` turns a row form
+into a column form, and ``_from_rows`` builds the CMatrix a row form
+stands for.  Scaling row by row, not by one lcm for the whole matrix,
+keeps the integers short when the rows' denominators differ.
+``_bareiss`` is the one fraction-free elimination over Z[i]: ``rank``
+counts its pivots, ``det`` is its last pivot over the product of the row
+scales, and the limit oracle in ``inverses`` runs it with the rows above
+each pivot cleared too.
 
 The determinantal formulas divide every entry of a product by one scalar
-(the minor sum c_r, or -m in the ODE series).  ``_divided_product``
-folds that division into the same integer loop, so each entry is one
-Fraction pair built once; ``@`` is its divisor-one case.
-``_product_trace`` gives tr(L R) from the n diagonal dot products alone.
+(the minor sum c_r, or -m in the ODE series).  ``_quotient`` folds that
+division into the dot-product loop, so each entry is one Fraction pair
+built once; ``_divided_product`` is its form on two matrices, and ``@``
+its divisor-one case.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import lcm, prod
+from math import gcd, lcm, prod
 from operator import mul
 
 from .scalars import GaussianRational, ONE, ZERO
@@ -55,6 +63,65 @@ def _gaussian_integers(vectors):
                 [x.numerator * (q // x.denominator) for x in im],
             ))
     return out
+
+
+def _reduced(q, re, im):
+    """The vector (re + im i) / q in canonical form: q and the numerators
+    divided by their gcd."""
+    g = gcd(q, *re, *im)
+    if g == 1:
+        return q, re, im
+    return q // g, [x // g for x in re], [x // g for x in im]
+
+
+def _dots(ar, ai, columns):
+    """The integer dot products of the Z[i] row ar + ai i with each Z[i]
+    column (p, br, bi), as (real parts, imaginary parts)."""
+    re, im = [], []
+    for _, br, bi in columns:
+        re.append(sum(map(mul, ar, br)) - sum(map(mul, ai, bi)))
+        im.append(sum(map(mul, ar, bi)) + sum(map(mul, ai, br)))
+    return re, im
+
+
+def _row_product(rows, columns):
+    """Row form of the product of a row form and a column form: row i is
+    its dot products over q_i lcm(p), reduced by one gcd."""
+    lcd = lcm(*[p for p, _, _ in columns])
+    scales = [lcd // p for p, _, _ in columns]
+    out = []
+    for q, ar, ai in rows:
+        re, im = _dots(ar, ai, columns)
+        if lcd != 1:
+            re, im = list(map(mul, re, scales)), list(map(mul, im, scales))
+        out.append(_reduced(q * lcd, re, im))
+    return out
+
+
+def _transposed(rows):
+    """Column form of the matrix with row form ``rows`` (and the row form
+    of the one with that column form): each column over lcm(q), reduced by
+    one gcd."""
+    lcd = lcm(*[q for q, _, _ in rows])
+    scales = [lcd // q for q, _, _ in rows]
+    return [
+        _reduced(lcd, list(map(mul, re, scales)), list(map(mul, im, scales)))
+        for re, im in zip(zip(*[re for _, re, _ in rows]), zip(*[im for _, _, im in rows]))
+    ]
+
+
+def _from_rows(rows) -> "CMatrix":
+    """The matrix with row form ``rows``, one Fraction pair per entry."""
+    return CMatrix([
+        [GaussianRational(Fraction(x, q), Fraction(y, q)) for x, y in zip(re, im)]
+        for q, re, im in rows
+    ])
+
+
+def _rank(rows) -> int:
+    """Rank of a row form, by elimination on a copy of its integers."""
+    work = [(list(re), list(im)) for _, re, im in rows]
+    return len(_bareiss(work, len(work[0][0]))[0])
 
 
 def _bareiss(rows, cols, clear_above=False):
@@ -108,6 +175,12 @@ def _bareiss(rows, cols, clear_above=False):
     return pivots, sign, (prev_re, prev_im)
 
 
+def _require_int(value, what):
+    """Refuse anything but an int, bool included, as the scalars do."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError("%s must be an int, got a %s" % (what, type(value).__name__))
+
+
 def _bad_row(row):
     kind = type(row).__name__
     raise TypeError("a matrix row must be a list or tuple, got a %s" % kind)
@@ -143,10 +216,13 @@ class CMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "CMatrix":
+        _require_int(n, "matrix size")
         return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "CMatrix":
+        _require_int(rows, "row count")
+        _require_int(cols, "column count")
         return cls([[ZERO] * cols for _ in range(rows)])
 
     @property
@@ -187,10 +263,12 @@ class CMatrix:
         return tuple(row[j - 1] for row in self._data)
 
     def _check_row_index(self, i: int) -> None:
+        _require_int(i, "row index")
         if not 1 <= i <= self._rows:
             raise IndexError("row index %r out of range 1..%d" % (i, self._rows))
 
     def _check_col_index(self, j: int) -> None:
+        _require_int(j, "column index")
         if not 1 <= j <= self._cols:
             raise IndexError("column index %r out of range 1..%d" % (j, self._cols))
 
@@ -242,7 +320,8 @@ class CMatrix:
     def __pow__(self, power):
         if not self.is_square:
             raise ShapeError("only square matrices have powers")
-        if not isinstance(power, int) or power < 0:
+        _require_int(power, "matrix power")
+        if power < 0:
             raise ValueError("matrix power must be a nonnegative integer")
         result = CMatrix.identity(self._rows)
         for _ in range(power):
@@ -276,8 +355,7 @@ class CMatrix:
     def rank(self) -> int:
         """Rank by fraction-free (Bareiss) elimination over the Gaussian
         integers, after scaling each row to integer entries."""
-        rows = [(re, im) for _, re, im in _gaussian_integers(self._data)]
-        return len(_bareiss(rows, self._cols)[0])
+        return _rank(_gaussian_integers(self._data))
 
     # --- row/column surgery ---
 
@@ -322,21 +400,27 @@ class CMatrix:
 
 
 def _divided_product(left: CMatrix, right: CMatrix, divisor) -> CMatrix:
-    """(left @ right) / divisor, one Fraction pair per entry.
-
-    Row i of left and column j of right are scaled to Gaussian integers by
-    q_i and p_j, so their dot product is s_r + s_i i over q_i p_j.  Writing
-    divisor = (alpha + beta i) / gamma in integers, the entry is
-
-        gamma (s_r + s_i i)(alpha - beta i) / (q_i p_j (alpha^2 + beta^2)).
-
-    ``@`` is the divisor-one case.
-    """
+    """(left @ right) / divisor, one Fraction pair per entry."""
     if left._cols != right._rows:
         raise ShapeError(
             "cannot multiply %dx%d by %dx%d"
             % (left._rows, left._cols, right._rows, right._cols)
         )
+    return _quotient(
+        _gaussian_integers(left._data), _gaussian_integers(zip(*right._data)), divisor
+    )
+
+
+def _quotient(rows, columns, divisor) -> CMatrix:
+    """The product of a row form and a column form divided by divisor, one
+    Fraction pair per entry.
+
+    Row i and column j hold Gaussian integers over q_i and p_j, so their
+    dot product is s_r + s_i i over q_i p_j.  Writing
+    divisor = (alpha + beta i) / gamma in integers, the entry is
+
+        gamma (s_r + s_i i)(alpha - beta i) / (q_i p_j (alpha^2 + beta^2)).
+    """
     d_re, d_im = divisor.re, divisor.im
     gamma = lcm(d_re.denominator, d_im.denominator)
     alpha = d_re.numerator * (gamma // d_re.denominator)
@@ -345,36 +429,16 @@ def _divided_product(left: CMatrix, right: CMatrix, divisor) -> CMatrix:
     if not norm:
         raise ZeroDivisionError("matrix product divided by zero")
     x, y = gamma * alpha, gamma * beta
-    columns = _gaussian_integers(zip(*right._data))
-    rows = []
-    for q, ar, ai in _gaussian_integers(left._data):
+    out = []
+    for q, ar, ai in rows:
         qn = q * norm
-        row = []
-        for p, br, bi in columns:
-            sr = sum(map(mul, ar, br)) - sum(map(mul, ai, bi))
-            si = sum(map(mul, ar, bi)) + sum(map(mul, ai, br))
-            den = qn * p
-            row.append(GaussianRational(
-                Fraction(sr * x + si * y, den), Fraction(si * x - sr * y, den)
-            ))
-        rows.append(row)
-    return CMatrix(rows)
-
-
-def _product_trace(left: CMatrix, right: CMatrix) -> GaussianRational:
-    """tr(left @ right) from the diagonal dot products alone: n Fraction
-    terms per part, no product matrix."""
-    if left._cols != right._rows or left._rows != right._cols:
-        raise ShapeError(
-            "tr(L R) needs L m x n and R n x m, got %dx%d and %dx%d"
-            % (left._rows, left._cols, right._rows, right._cols)
-        )
-    re = im = Fraction(0)
-    pairs = zip(_gaussian_integers(left._data), _gaussian_integers(zip(*right._data)))
-    for (q, ar, ai), (p, br, bi) in pairs:
-        re += Fraction(sum(map(mul, ar, br)) - sum(map(mul, ai, bi)), q * p)
-        im += Fraction(sum(map(mul, ar, bi)) + sum(map(mul, ai, br)), q * p)
-    return GaussianRational(re, im)
+        out.append([
+            GaussianRational(
+                Fraction(sr * x + si * y, qn * p), Fraction(si * x - sr * y, qn * p)
+            )
+            for sr, si, (p, _, _) in zip(*_dots(ar, ai, columns), columns)
+        ])
+    return CMatrix(out)
 
 
 def hstack(left: CMatrix, right: CMatrix) -> CMatrix:

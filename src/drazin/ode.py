@@ -264,7 +264,7 @@ def _left_series(prepared: _Prepared, b: CMatrix) -> MatrixPolynomial:
     """
     a = prepared.matrix
     _check_rhs(a, b, "X' + AX = B")
-    x0 = prepared.col_form(prepared.power_k @ b)
+    x0 = prepared.inverse_times(b)
     coeffs = [x0]
     if prepared.profile.k:
         coeffs.append(b - a @ x0)
@@ -278,7 +278,7 @@ def _right_series(prepared: _Prepared, b: CMatrix) -> MatrixPolynomial:
     C_1 = B - X0 A and C_m = C_(m-1) A / (-m)."""
     a = prepared.matrix
     _check_rhs(a, b, "X' + XA = B")
-    x0 = prepared.row_form(b @ prepared.power_k)
+    x0 = prepared.times_inverse(b)
     coeffs = [x0]
     if prepared.profile.k:
         coeffs.append(b - x0 @ a)

@@ -6,8 +6,9 @@ sums; no inverse is formed first.  The sums come from the per-matrix
 numerator B_(r-1) of ``inverses._prepare``: column-replaced sums over the
 columns of a matrix M are the entries of B_(r-1) M, row-replaced ones
 those of M B_(r-1).  Each solution is one integer product divided by its
-denominator in the same loop (``matrices._divided_product``): c_r for the
-one-sided systems, c_A c_B for both orders of the two-sided one.
+denominator in the same loop: c_r for the one-sided systems, over the
+row form of A^k B or B A^k, and c_A c_B for both orders of the two-sided
+one (``matrices._divided_product``).
 ``_prepare`` also applies the square check to each coefficient matrix;
 the solvers check only that the right-hand side fits.  The reported
 restriction flag states whether the right-hand side satisfies the
@@ -67,7 +68,7 @@ def solve_ax(a: CMatrix, b: CMatrix) -> SolveReport:
         raise ShapeError("right-hand side must have as many rows as A")
     prepared = _prepare(a)
     flag = hstack(prepared.power_k, b).rank() == prepared.profile.r
-    x = prepared.col_form(prepared.power_k @ b)
+    x = prepared.inverse_times(b)
     return SolveReport(x, flag, prepared.profile, prepared.denominator)
 
 
@@ -83,7 +84,7 @@ def solve_xa(a: CMatrix, b: CMatrix) -> SolveReport:
         raise ShapeError("right-hand side must have as many columns as A")
     prepared = _prepare(a)
     flag = vstack(prepared.power_k, b).rank() == prepared.profile.r
-    x = prepared.row_form(b @ prepared.power_k)
+    x = prepared.times_inverse(b)
     return SolveReport(x, flag, prepared.profile, prepared.denominator)
 
 

@@ -18,7 +18,7 @@ from drazin.matrices import (
 )
 from drazin.scalars import ZERO, GaussianRational as G
 
-from helpers import A_IDX2, B_GRP, D_RHS, rand_matrix, rand_singular
+from helpers import A_IDX2, B_GRP, D_RHS, rand_matrix, rand_singular, rational_similar
 from oracles import apply_to_vector, minor_rank, nullspace_basis, perm_det, product, rref
 
 A_SQUARED = CMatrix([[4, 0, 0], [2 - 2j, 0, 0], [-2 - 2j, 0, 0]])
@@ -82,6 +82,24 @@ def test_entry_row_col_are_one_based():
         A_IDX2.entry(0, 1)
     with pytest.raises(IndexError):
         A_IDX2.col(4)
+
+
+def test_integer_arguments_refuse_bool():
+    # the scalar layer refuses bool, and so do sizes, indices and powers
+    with pytest.raises(TypeError):
+        A_IDX2 ** True
+    with pytest.raises(TypeError):
+        CMatrix.identity(True)
+    with pytest.raises(TypeError):
+        CMatrix.zeros(True, 2)
+    with pytest.raises(TypeError):
+        CMatrix.zeros(2, False)
+    with pytest.raises(TypeError):
+        A_IDX2.entry(True, 1)
+    with pytest.raises(TypeError):
+        A_IDX2.row(True)
+    with pytest.raises(TypeError):
+        A_IDX2.col(True)
 
 
 def test_scalar_multiplication_and_negation():
@@ -201,21 +219,50 @@ def test_divided_product_matches_product_then_division(pair, divisor):
     assert divided == CMatrix([[v / divisor for v in row] for row in expected.data])
 
 
+def row_form(m):
+    return matrices._gaussian_integers(m.data)
+
+
+def col_form(m):
+    return matrices._gaussian_integers(zip(*m.data))
+
+
+def check_row_forms(a, b):
+    """The row product and the row-to-column conversion give, row by row,
+    the (q, re, im) of the Fraction-normalised reference product."""
+    expected = row_form(product(a, b))
+    assert matrices._row_product(row_form(a), col_form(b)) == expected
+    assert matrices._transposed(row_form(a)) == col_form(a)
+    assert matrices._transposed(col_form(b)) == row_form(b)
+    assert matrices._from_rows(expected) == product(a, b)
+
+
 @st.composite
-def trace_pairs(draw):
-    """m x n and n x m, so that the product is square."""
-    rows, inner = draw(st.integers(1, 5)), draw(st.integers(1, 5))
-    return (draw(gaussian_matrices(rows, inner)), draw(gaussian_matrices(inner, rows)))
+def gaussian_integer_pairs(draw):
+    rows, inner, cols = (draw(st.integers(1, 5)) for _ in range(3))
+    entry = st.builds(G, st.integers(-9, 9), st.integers(-9, 9))
+    return tuple(
+        CMatrix([[draw(entry) for _ in range(c)] for _ in range(r)])
+        for r, c in ((rows, inner), (inner, cols))
+    )
 
 
 @settings(max_examples=150, deadline=None)
-@given(trace_pairs())
-def test_product_trace_matches_sum_of_entrywise_products(pair):
-    a, b = pair
-    expected = sum(
-        (a.data[i][t] * b.data[t][i] for i in range(a.rows) for t in range(a.cols)), ZERO
-    )
-    assert matrices._product_trace(a, b) == expected
+@given(st.one_of(conformable_pairs(), gaussian_integer_pairs()))
+def test_row_product_matches_the_normalised_product(pair):
+    check_row_forms(*pair)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 6), st.randoms(use_true_random=False))
+def test_row_product_on_rational_similarities(n, rng):
+    # D A D^-1 has a different denominator in every row and column; the
+    # powers are the index walk's products
+    a = rational_similar(rng, rand_matrix(rng, n))
+    power = a
+    for _ in range(3):
+        check_row_forms(power, a)
+        power = product(power, a)
 
 
 def test_divided_product_by_zero_raises():
@@ -225,8 +272,6 @@ def test_divided_product_by_zero_raises():
             matrices._divided_product(a, a, zero)
     with pytest.raises(ShapeError):
         matrices._divided_product(a, CMatrix([[1, 2]]), G(1))
-    with pytest.raises(ShapeError):
-        matrices._product_trace(a, CMatrix([[1, 2]]))
 
 
 @settings(max_examples=150, deadline=None)

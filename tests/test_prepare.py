@@ -3,11 +3,11 @@
 The square check applies to each public function that walks or inverts a
 coefficient matrix, and none of them, nor ``index_of`` or
 ``verify_drazin``, caps the size: only the command line bounds the
-dimensions of what it reads.  The oracle and a refused group inverse read
-only the walk, never the kernel.  Through the command line, each input
-matrix is walked once, whatever the subcommand reports from it, and each
-operand file is read once, in the order the subcommand declares its
-operands.
+dimensions of what it reads.  The oracle, ``verify_drazin`` and a
+refused group inverse read only the walk, never the kernel.  Through the
+command line, each input matrix is walked once, whatever the subcommand
+reports from it, and each operand file is read once, in the order the
+subcommand declares its operands.
 """
 
 import json
@@ -82,11 +82,13 @@ def test_oracle_and_group_refusal_never_compute_the_kernel(monkeypatch):
     def no_kernel(self):
         raise AssertionError("the kernel was computed")
 
-    monkeypatch.setattr(inverses._Prepared, "numerator", property(no_kernel))
-    monkeypatch.setattr(inverses._Prepared, "denominator", property(no_kernel))
+    for name in ("_kernel", "numerator", "denominator"):
+        monkeypatch.setattr(inverses._Prepared, name, property(no_kernel))
     with pytest.raises(GroupIndexError):
         group_inverse(A_IDX2)
-    assert drazin_oracle(A_IDX2) == drazin_oracle(A_IDX2, power_first=True)
+    oracle = drazin_oracle(A_IDX2)
+    assert oracle == drazin_oracle(A_IDX2, power_first=True)
+    assert verify_drazin(A_IDX2, oracle).all_hold
 
 
 def write_matrix(path, matrix):
