@@ -48,7 +48,7 @@ from dataclasses import fields
 
 from .inverses import GroupIndexError, _inverse, _prepare, group_inverse, verify_drazin
 from .matrices import CMatrix, ShapeError
-from .ode import MatrixPolynomial, _left_series, _right_series
+from .ode import MatrixPolynomial, _partial
 from .scalars import GaussianRational, _excerpt
 from .solvers import solve_ax, solve_axb, solve_xa
 
@@ -228,11 +228,10 @@ def _run_solve(args, *operands) -> dict:
 
 
 def _run_ode(args, a, b) -> dict:
-    series = _left_series if args.command == "ode-left" else _right_series
-    prepared = _prepare(a)
+    prepared, solution = _partial(a, b, left=args.command == "ode-left")
     return {
         "command": args.command,
-        "solution": series(prepared, b),
+        "solution": solution,
         "profile": _profile_dict(prepared.profile),
         "denominator": prepared.denominator,
     }

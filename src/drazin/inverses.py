@@ -30,16 +30,22 @@ recurrence from the powers the walk ended on.
 
 The walk and the recurrence run on Z[i] row forms (``matrices``: per
 row, the least common denominator q and the integer numerators, reduced
-by one gcd per row).  The walk multiplies the row form of A^m by A's
-column form, computed once, and ranks each power by ``matrices._bareiss``
-on its integers.  Each step of the recurrence is one row product
-B_(j-1) S with S's column form, computed once (B_(j-1) is a polynomial in
-S, so it commutes with S); c_j is read from the product's diagonal, and
-c_r from the n diagonal dot products of B_(r-1) with S alone.  No
-intermediate power or iterate is ever a Fraction or a CMatrix: the
-prepared object keeps the row forms of A^k, A^(k+1) and B_(r-1), and
-builds their CMatrix views (``power_k``, ``power_k1``, ``numerator``)
-only when a caller asks for them.  The column and row forms are products
+by one gcd per row).  The walk scales A to integers once, derives A's
+column form from that row form on integers, multiplies the row form of
+A^m by it, and ranks each power by ``matrices._bareiss`` on its
+integers.  Each step of the recurrence is one row product B_(j-1) S with
+S's column form, computed once (B_(j-1) is a polynomial in S, so it
+commutes with S); c_j is read from the product's diagonal, and c_r from
+the n diagonal dot products of B_(r-1) with S alone.  No intermediate
+power or iterate is ever a Fraction or a CMatrix: the prepared object
+keeps the row forms of A, A^T, A^k, A^(k+1) and B_(r-1), which the
+solvers, the oracle and ``verify_drazin`` multiply, and builds CMatrix
+views (``power_k``, ``power_k1``, ``numerator``) only when a caller
+asks for them.
+``verify_drazin`` multiplies those forms by the candidate's and compares
+canonical row forms, so it builds no Fraction at all; like the ODE
+series, it checks its second operand's shape after A's square check and
+before the walk.  The column and row forms are products
 of B_(r-1)'s row or column form with the source's, divided by c_r in the
 same integer loop (``matrices._quotient``), so each entry of the result
 is built once, with one division.  The column and row forms therefore
@@ -54,8 +60,8 @@ input from outside the program, bounds the dimensions it accepts.
 exact limit at 0 of (x I + A^(k+1))^-1 A^k, which is the solution of
 A^(k+1) X = A^k with columns in the range of A^k, found by fraction-free
 Gauss-Jordan elimination over the Gaussian integers.  It shares the index
-walk, ``@`` and the elimination loop ``matrices._bareiss`` (which also
-computes ``rank`` and ``det``) with production, but not the
+walk, the row products and the elimination loop ``matrices._bareiss``
+(which also computes ``rank`` and ``det``) with production, but not the
 Faddeev-LeVerrier recurrence, B_(r-1) or c_r, so its agreement with the
 column and row forms checks the minor sums themselves.  It reads only
 the walk's powers from the prepared object, so it never triggers the
@@ -74,10 +80,10 @@ from .matrices import (
     IndexProfile,
     ShapeError,
     _bareiss,
-    _divided_product,
     _dots,
     _from_rows,
     _gaussian_integers,
+    _joined,
     _quotient,
     _rank,
     _reduced,
@@ -119,17 +125,19 @@ def _identity_rows(n):
 
 
 def _walk(a: CMatrix):
-    """(IndexProfile, A^k, A^(k+1)): the profile with the row forms of the
-    two powers the walk ends on.  Each step multiplies by A's column form,
-    computed once, and ranks the new power's row form."""
-    columns = _gaussian_integers(zip(*a.data))
+    """(IndexProfile, A, A^T, A^k, A^(k+1)) as the profile with the row
+    forms of A, of A^T (A's column form, from A's row form on integers)
+    and of the two powers the walk ends on.  A is scaled to integers once,
+    here; each step multiplies by A's column form and ranks the new
+    power's row form."""
+    rows = power = _gaussian_integers(a.data)
+    columns = _transposed(rows)
     previous_rank, previous = a.rows, _identity_rows(a.rows)
-    power = _gaussian_integers(a.data)
     k = 0
     while True:
         current = _rank(power)
         if current == previous_rank:
-            return IndexProfile(k, current), previous, power
+            return IndexProfile(k, current), rows, columns, previous, power
         previous_rank, previous = current, power
         power = _row_product(power, columns)
         k += 1
@@ -150,8 +158,9 @@ def index_of(a: CMatrix) -> IndexProfile:
 class _Prepared:
     """One matrix ready for every determinantal formula.
 
-    ``matrix`` is A itself, and ``profile``, ``rows_k`` and ``rows_k1`` are
-    what the index walk ended on: the row forms of A^k and S = A^(k+1).
+    Everything in it is what the index walk ended on: the profile, A's
+    row and column forms (``rows_a``, ``columns_a``) and the row forms of
+    A^k and S = A^(k+1) (``rows_k``, ``rows_k1``).
     ``_kernel`` holds the row form of B_(r-1), the coefficient of x^(n-r)
     in adj(x I + S), with c_r, the sum of the order-r principal minors of
     S.  At rank zero they are the zero matrix and 1, the coefficients of
@@ -159,11 +168,12 @@ class _Prepared:
     use, so a caller that needs only the walk (the oracle,
     ``verify_drazin``, or ``group_inverse`` refusing index 2 and above)
     never pays for it.  ``power_k``, ``power_k1`` and ``numerator`` are
-    the CMatrix views of the three row forms, also built on first use.
+    the CMatrix views of the three row forms, built only when asked for.
     """
 
-    matrix: CMatrix
     profile: IndexProfile
+    rows_a: list
+    columns_a: list
     rows_k: list
     rows_k1: list
 
@@ -181,7 +191,7 @@ class _Prepared:
         and for j >= 1 c_j = tr(B_(j-1) S) / j, B_j = c_j I - B_(j-1) S,
         one row product with S's column form per step (B_(j-1) is a
         polynomial in S, so it commutes with S)."""
-        n, r = self.matrix.rows, self.profile.r
+        n, r = len(self.rows_a), self.profile.r
         if r == 0:
             return [(1, [0] * n, [0] * n) for _ in range(n)], ONE
         s = _transposed(self.rows_k1)
@@ -214,6 +224,16 @@ class _Prepared:
     def denominator(self) -> GaussianRational:
         return self._kernel[1]
 
+    def col_sums(self, columns):
+        """Row form of the column-replaced sums over the columns of a
+        column form, undivided."""
+        return _row_product(self._kernel[0], columns)
+
+    def row_sums(self, rows):
+        """Row form of the row-replaced sums over the rows of a row form,
+        undivided."""
+        return _row_product(rows, _transposed(self._kernel[0]))
+
     def col_form(self, columns) -> CMatrix:
         """Column-replaced sums over the columns of a column form, divided
         by c_r."""
@@ -225,14 +245,14 @@ class _Prepared:
         b, c = self._kernel
         return _quotient(rows, _transposed(b), c)
 
-    def inverse_times(self, b: CMatrix) -> CMatrix:
-        """A^D B: the column form over A^k B, whose column form is the row
-        form of B^T (A^k)^T."""
-        return self.col_form(_row_product(_gaussian_integers(zip(*b.data)), self.rows_k))
+    def inverse_times(self, columns_b) -> CMatrix:
+        """A^D B from B's column form: the column form over A^k B, whose
+        column form is the row form of B^T (A^k)^T."""
+        return self.col_form(_row_product(columns_b, self.rows_k))
 
-    def times_inverse(self, b: CMatrix) -> CMatrix:
-        """B A^D: the row form over B A^k."""
-        return self.row_form(_row_product(_gaussian_integers(b.data), _transposed(self.rows_k)))
+    def times_inverse(self, rows_b) -> CMatrix:
+        """B A^D from B's row form: the row form over B A^k."""
+        return self.row_form(_row_product(rows_b, _transposed(self.rows_k)))
 
 
 def _trace_over(terms, j):
@@ -244,13 +264,18 @@ def _trace_over(terms, j):
     return _reduced(q * j, [re], [im])
 
 
+def _require_square(a: CMatrix) -> None:
+    if not a.is_square:
+        raise ShapeError("expected a square matrix, got %dx%d" % (a.rows, a.cols))
+
+
 def _prepare(a: CMatrix) -> _Prepared:
     """The one way into a matrix for every entry point, and the one caller
     of the walk: the square check and the index walk, with the kernel to
-    follow."""
-    if not a.is_square:
-        raise ShapeError("expected a square matrix, got %dx%d" % (a.rows, a.cols))
-    return _Prepared(a, *_walk(a))
+    follow.  Entry points with a second operand call ``_require_square``
+    and check that operand's shape first, so a misfit never walks A."""
+    _require_square(a)
+    return _Prepared(*_walk(a))
 
 
 def _inverse(prepared: _Prepared, method: str) -> CMatrix:
@@ -326,22 +351,21 @@ def _limit(prepared: _Prepared, power_first: bool = False) -> CMatrix:
     Gauss-Jordan on the row-scaled [A^(2k+1) | A^k] leaves, in each pivot
     row, the last pivot d times the row of W at that pivot column, so A^k W
     is the product of the pivot columns of A^k with those rows divided by d.
-    The reversed product's limit is the transpose of this one for A^T.
+    The reversed product's limit is the transpose of this one for A^T,
+    whose powers' row forms are the column forms of A's.
     """
-    power_k, s = prepared.power_k, prepared.power_k1
+    power_k, s = prepared.rows_k, prepared.rows_k1
     if power_first:
-        power_k, s = power_k.transpose(), s.transpose()
-    n = s.rows
-    system = zip((s @ power_k).data, power_k.data)
-    rows = [(re, im) for _, re, im in _gaussian_integers(a + b for a, b in system)]
+        power_k, s = _transposed(power_k), _transposed(s)
+    n = len(s)
+    system = _joined(_row_product(s, _transposed(power_k)), power_k)
+    rows = [(re, im) for _, re, im in system]
     pivots, _, (dr, di) = _bareiss(rows, n, clear_above=True)
     if not pivots:
         return CMatrix.zeros(n, n)
-    solved = CMatrix(
-        [list(map(GaussianRational, re[n:], im[n:])) for re, im in rows[: len(pivots)]]
-    )
-    used = CMatrix([[row[c] for c in pivots] for row in power_k.data])
-    limit = _divided_product(used, solved, GaussianRational(dr, di))
+    solved = _transposed([(1, re[n:], im[n:]) for re, im in rows[: len(pivots)]])
+    used = [(q, [re[c] for c in pivots], [im[c] for c in pivots]) for q, re, im in power_k]
+    limit = _quotient(used, solved, GaussianRational(dr, di))
     return limit.transpose() if power_first else limit
 
 
@@ -364,16 +388,22 @@ class DrazinAxioms:
 
 def verify_drazin(a: CMatrix, x: CMatrix) -> DrazinAxioms:
     """Check the Drazin axioms exactly, with k = Ind(A), from A's
-    prepared object (the walk alone, never the kernel)."""
-    prepared = _prepare(a)
+    prepared object (the walk alone, never the kernel).
+
+    Every product is a canonical row form, so each identity is an equality
+    of integer lists and no Fraction is built.
+    """
+    _require_square(a)
     if (x.rows, x.cols) != (a.rows, a.cols):
         raise ShapeError("candidate inverse must match the matrix dimensions")
-    power_k, power_k1 = prepared.power_k, prepared.power_k1
-    ax = a @ x
-    xa = x @ a
+    prepared = _prepare(a)
+    rows_x = _gaussian_integers(x.data)
+    columns_x = _transposed(rows_x)
+    ax = _row_product(prepared.rows_a, columns_x)
+    xa = _row_product(rows_x, prepared.columns_a)
     return DrazinAxioms(
-        power_left=power_k1 @ x == power_k,
-        outer=x @ ax == x,
+        power_left=_row_product(prepared.rows_k1, columns_x) == prepared.rows_k,
+        outer=_row_product(xa, columns_x) == rows_x,
         commute=ax == xa,
-        power_right=x @ power_k1 == power_k,
+        power_right=_row_product(rows_x, _transposed(prepared.rows_k1)) == prepared.rows_k,
     )

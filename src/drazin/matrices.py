@@ -16,9 +16,12 @@ row i's dot products over q_i lcm(p), reduced by one gcd, which are the
 integers ``_gaussian_integers`` gives for the Fraction-normalised
 product, so repeated products (the index walk and Faddeev-LeVerrier in
 ``inverses``) never build a Fraction.  ``_transposed`` turns a row form
-into a column form, and ``_from_rows`` builds the CMatrix a row form
-stands for.  Scaling row by row, not by one lcm for the whole matrix,
-keeps the integers short when the rows' denominators differ.
+into a column form, ``_joined`` gives the row form of [L | R], and
+``_from_rows`` builds the CMatrix a row form stands for, divided by one
+scalar.  Canonical forms are equal exactly when their matrices are, so
+products that are compared, ranked or multiplied again stay row forms.
+Scaling row by row, not by one lcm for the whole matrix, keeps the
+integers short when the rows' denominators differ.
 ``_bareiss`` is the one fraction-free elimination over Z[i]: ``rank``
 counts its pivots, ``det`` is its last pivot over the product of the row
 scales, and the limit oracle in ``inverses`` runs it with the rows above
@@ -29,6 +32,11 @@ The determinantal formulas divide every entry of a product by one scalar
 division into the dot-product loop, so each entry is one Fraction pair
 built once; ``_divided_product`` is its form on two matrices, and ``@``
 its divisor-one case.
+
+Values the package builds from normalised Fractions skip the public
+constructors' checks: ``CMatrix._of`` and ``GaussianRational._of`` take
+them as they are.  ``CMatrix(...)`` parses and checks every entry, so
+the input boundary is unchanged.
 """
 
 from __future__ import annotations
@@ -40,6 +48,8 @@ from math import gcd, lcm, prod
 from operator import mul
 
 from .scalars import GaussianRational, ONE, ZERO
+
+_new = object.__new__
 
 
 class ShapeError(ValueError):
@@ -110,12 +120,45 @@ def _transposed(rows):
     ]
 
 
-def _from_rows(rows) -> "CMatrix":
-    """The matrix with row form ``rows``, one Fraction pair per entry."""
-    return CMatrix([
-        [GaussianRational(Fraction(x, q), Fraction(y, q)) for x, y in zip(re, im)]
-        for q, re, im in rows
-    ])
+def _joined(left, right):
+    """Row form of [L | R] from the row forms of L and R: each row over
+    the lcm of its two denominators, which keeps it canonical."""
+    out = []
+    for (p, lr, li), (q, rr, ri) in zip(left, right):
+        d = lcm(p, q)
+        f, g = d // p, d // q
+        out.append((d, [x * f for x in lr] + [x * g for x in rr],
+                    [x * f for x in li] + [x * g for x in ri]))
+    return out
+
+
+def _reciprocal(divisor):
+    """(x, y, norm) in integers with 1 / divisor = (x - y i) / norm: for
+    divisor = (alpha + beta i) / gamma, x + y i = gamma (alpha + beta i)
+    and norm = alpha^2 + beta^2."""
+    d_re, d_im = divisor.re, divisor.im
+    gamma = lcm(d_re.denominator, d_im.denominator)
+    alpha = d_re.numerator * (gamma // d_re.denominator)
+    beta = d_im.numerator * (gamma // d_im.denominator)
+    norm = alpha * alpha + beta * beta
+    if not norm:
+        raise ZeroDivisionError("matrix product divided by zero")
+    return gamma * alpha, gamma * beta, norm
+
+
+def _from_rows(rows, divisor=ONE) -> "CMatrix":
+    """The matrix with row form ``rows`` divided by divisor, one Fraction
+    pair per entry."""
+    x, y, norm = _reciprocal(divisor)
+    of = GaussianRational._of
+    out = []
+    for q, re, im in rows:
+        qn = q * norm
+        out.append(tuple([
+            of(Fraction(a * x + b * y, qn), Fraction(b * x - a * y, qn))
+            for a, b in zip(re, im)
+        ]))
+    return CMatrix._of(tuple(out))
 
 
 def _rank(rows) -> int:
@@ -215,6 +258,17 @@ class CMatrix:
         self._cols = width
 
     @classmethod
+    def _of(cls, data):
+        """The matrix with entries ``data``, a non-empty tuple of equally
+        long row tuples of GaussianRational that the package built itself,
+        without the checks of the public constructor."""
+        matrix = _new(cls)
+        matrix._data = data
+        matrix._rows = len(data)
+        matrix._cols = len(data[0])
+        return matrix
+
+    @classmethod
     def identity(cls, n: int) -> "CMatrix":
         _require_int(n, "matrix size")
         return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
@@ -273,7 +327,7 @@ class CMatrix:
             raise IndexError("column index %r out of range 1..%d" % (j, self._cols))
 
     def transpose(self) -> "CMatrix":
-        return CMatrix(tuple(zip(*self._data)))
+        return CMatrix._of(tuple(zip(*self._data)))
 
     # --- arithmetic ---
 
@@ -285,9 +339,9 @@ class CMatrix:
                 "cannot add %dx%d and %dx%d matrices"
                 % (self._rows, self._cols, other._rows, other._cols)
             )
-        return CMatrix(
+        return CMatrix._of(
             tuple(
-                tuple(a + b for a, b in zip(ra, rb))
+                tuple([a + b for a, b in zip(ra, rb)])
                 for ra, rb in zip(self._data, other._data)
             )
         )
@@ -298,7 +352,7 @@ class CMatrix:
         return self.__add__(-other)
 
     def __neg__(self):
-        return CMatrix(tuple(tuple(-v for v in row) for row in self._data))
+        return CMatrix._of(tuple(tuple([-v for v in row]) for row in self._data))
 
     def __mul__(self, other):
         if isinstance(other, CMatrix):
@@ -306,8 +360,8 @@ class CMatrix:
         scalar = GaussianRational._coerce(other)
         if scalar is None:
             return NotImplemented
-        return CMatrix(
-            tuple(tuple(v * scalar for v in row) for row in self._data)
+        return CMatrix._of(
+            tuple(tuple([v * scalar for v in row]) for row in self._data)
         )
 
     __rmul__ = __mul__
@@ -421,24 +475,16 @@ def _quotient(rows, columns, divisor) -> CMatrix:
 
         gamma (s_r + s_i i)(alpha - beta i) / (q_i p_j (alpha^2 + beta^2)).
     """
-    d_re, d_im = divisor.re, divisor.im
-    gamma = lcm(d_re.denominator, d_im.denominator)
-    alpha = d_re.numerator * (gamma // d_re.denominator)
-    beta = d_im.numerator * (gamma // d_im.denominator)
-    norm = alpha * alpha + beta * beta
-    if not norm:
-        raise ZeroDivisionError("matrix product divided by zero")
-    x, y = gamma * alpha, gamma * beta
+    x, y, norm = _reciprocal(divisor)
+    of = GaussianRational._of
     out = []
     for q, ar, ai in rows:
         qn = q * norm
-        out.append([
-            GaussianRational(
-                Fraction(sr * x + si * y, qn * p), Fraction(si * x - sr * y, qn * p)
-            )
+        out.append(tuple([
+            of(Fraction(sr * x + si * y, qn * p), Fraction(si * x - sr * y, qn * p))
             for sr, si, (p, _, _) in zip(*_dots(ar, ai, columns), columns)
-        ])
-    return CMatrix(out)
+        ]))
+    return CMatrix._of(tuple(out))
 
 
 def hstack(left: CMatrix, right: CMatrix) -> CMatrix:

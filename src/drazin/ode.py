@@ -11,15 +11,14 @@ where k is the index of A; an invertible A gives the constant A^(-1) B
 term X0 = A^D B is the paper's Cramer solution of AX = B: every entry an
 exact ratio of column-replaced minor sums over A^k B, read from the
 per-matrix numerator of ``inverses._prepare``, the kernel shared with the
-inverses and solvers, which also applies the square check to A.  The
-higher coefficients follow from that one solve: since A^D A^m B =
-A^(m-1) A X0, the t^1 coefficient is B - A X0 and each next one is A
-times the previous divided by -m, one integer product with the division
-folded in.  The right-sided equation X' + XA = B is the mirror
-image, from the row-replaced sums over B A^k.  The series themselves
-(``_left_series``, ``_right_series``) take only the prepared object,
-which carries A, and the right-hand side, so the command line can
-report the profile and denominator from the same one.
+inverses and solvers.  The higher coefficients follow from that one
+solve: since A^D A^m B = A^(m-1) A X0, the t^1 coefficient is B - A X0
+and each next one is A times the previous divided by -m, one integer
+product with the division folded in.  The right-sided equation
+X' + XA = B is the mirror image, from the row-replaced sums over B A^k.
+``_partial`` checks that A is square and that B fits before it walks A,
+and returns the prepared object with the series, so the command line
+reports the profile and denominator from the same one.
 
 The residual helpers substitute a polynomial back into the equation and
 return X'(t) + AX(t) - B exactly; for the polynomials built here the
@@ -28,8 +27,8 @@ result is identically zero, which is the decisive correctness check.
 
 from __future__ import annotations
 
-from .inverses import _Prepared, _prepare
-from .matrices import CMatrix, ShapeError, _divided_product
+from .inverses import _prepare, _require_square
+from .matrices import CMatrix, ShapeError, _divided_product, _gaussian_integers
 from .scalars import GaussianRational, ScalarPolynomial
 
 
@@ -230,14 +229,6 @@ class MatrixPolynomial:
         return "MatrixPolynomial(%r)" % (list(self._coeffs),)
 
 
-def _check_rhs(a: CMatrix, b: CMatrix, side: str) -> None:
-    if b.rows != a.rows or b.cols != a.rows:
-        raise ShapeError(
-            "the right-hand side of %s must match the coefficient matrix"
-            % side
-        )
-
-
 def ode_left_partial(a: CMatrix, b: CMatrix) -> MatrixPolynomial:
     """Partial polynomial solution of X' + AX = B.
 
@@ -247,44 +238,43 @@ def ode_left_partial(a: CMatrix, b: CMatrix) -> MatrixPolynomial:
     never exceeds the index of A, and an invertible A yields the constant
     solution of the algebraic system.
     """
-    return _left_series(_prepare(a), b)
+    return _partial(a, b, left=True)[1]
 
 
 def ode_right_partial(a: CMatrix, b: CMatrix) -> MatrixPolynomial:
     """Partial polynomial solution of X' + XA = B, via row-replaced sums."""
-    return _right_series(_prepare(a), b)
+    return _partial(a, b, left=False)[1]
 
 
-def _left_series(prepared: _Prepared, b: CMatrix) -> MatrixPolynomial:
-    """ode_left_partial from A's prepared object, which carries A.
+def _partial(a: CMatrix, b: CMatrix, left: bool):
+    """(A's prepared object, the partial solution of X' + AX = B when
+    ``left``, else of X' + XA = B).
 
-    With X0 = A^D B, the t^m coefficient is
+    A's square check comes first, then B's shape, then the walk.  With
+    X0 = A^D B, the t^m coefficient of the left solution is
     ((-1)^(m-1)/m!) A^(m-1) (B - A X0), so C_1 = B - A X0 and
-    C_m = A C_(m-1) / (-m).
+    C_m = A C_(m-1) / (-m); the right one is the mirror image,
+    C_1 = B - X0 A and C_m = C_(m-1) A / (-m).
     """
-    a = prepared.matrix
-    _check_rhs(a, b, "X' + AX = B")
-    x0 = prepared.inverse_times(b)
-    coeffs = [x0]
-    if prepared.profile.k:
-        coeffs.append(b - a @ x0)
-    for m in range(2, prepared.profile.k + 1):
-        coeffs.append(_divided_product(a, coeffs[-1], GaussianRational(-m)))
-    return MatrixPolynomial(coeffs, rows=a.rows, cols=a.rows)
-
-
-def _right_series(prepared: _Prepared, b: CMatrix) -> MatrixPolynomial:
-    """ode_right_partial from A's prepared object: the mirror image,
-    C_1 = B - X0 A and C_m = C_(m-1) A / (-m)."""
-    a = prepared.matrix
-    _check_rhs(a, b, "X' + XA = B")
-    x0 = prepared.times_inverse(b)
-    coeffs = [x0]
-    if prepared.profile.k:
-        coeffs.append(b - x0 @ a)
-    for m in range(2, prepared.profile.k + 1):
-        coeffs.append(_divided_product(coeffs[-1], a, GaussianRational(-m)))
-    return MatrixPolynomial(coeffs, rows=a.rows, cols=a.rows)
+    _require_square(a)
+    if b.rows != a.rows or b.cols != a.rows:
+        raise ShapeError(
+            "the right-hand side of %s must match the coefficient matrix"
+            % ("X' + AX = B" if left else "X' + XA = B")
+        )
+    prepared = _prepare(a)
+    k = prepared.profile.k
+    if left:
+        x0 = prepared.inverse_times(_gaussian_integers(zip(*b.data)))
+        coeffs = [x0, b - a @ x0] if k else [x0]
+        for m in range(2, k + 1):
+            coeffs.append(_divided_product(a, coeffs[-1], GaussianRational(-m)))
+    else:
+        x0 = prepared.times_inverse(_gaussian_integers(b.data))
+        coeffs = [x0, b - x0 @ a] if k else [x0]
+        for m in range(2, k + 1):
+            coeffs.append(_divided_product(coeffs[-1], a, GaussianRational(-m)))
+    return prepared, MatrixPolynomial(coeffs, rows=a.rows, cols=a.rows)
 
 
 def residual_left(a: CMatrix, b: CMatrix, x: MatrixPolynomial) -> MatrixPolynomial:

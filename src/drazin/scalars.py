@@ -22,6 +22,7 @@ from fractions import Fraction
 
 _HASH_IMAG = sys.hash_info.imag
 _HASH_MASK = (1 << sys.hash_info.width) - 1
+_new = object.__new__
 
 _UNSIGNED = r"[0-9]+(?:/[0-9]+)?"
 _COMPONENT_TEXT = _re.compile("-?" + _UNSIGNED)
@@ -87,6 +88,15 @@ class GaussianRational:
         self._im = _component(imag)
 
     @classmethod
+    def _of(cls, re, im):
+        """The value re + im i from two normalised Fractions the package
+        built itself, without the checks of the public constructor."""
+        value = _new(cls)
+        value._re = re
+        value._im = im
+        return value
+
+    @classmethod
     def parse(cls, value):
         """Coerce ``value`` to a GaussianRational.
 
@@ -120,7 +130,7 @@ class GaussianRational:
         return self._im
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self._re, -self._im)
+        return GaussianRational._of(self._re, -self._im)
 
     def norm_squared(self) -> Fraction:
         """re^2 + im^2, the multiplicative norm of Q(i)."""
@@ -143,7 +153,7 @@ class GaussianRational:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return GaussianRational(self._re + other._re, self._im + other._im)
+        return GaussianRational._of(self._re + other._re, self._im + other._im)
 
     __radd__ = __add__
 
@@ -151,7 +161,7 @@ class GaussianRational:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return GaussianRational(self._re - other._re, self._im - other._im)
+        return GaussianRational._of(self._re - other._re, self._im - other._im)
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -163,7 +173,7 @@ class GaussianRational:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return GaussianRational(
+        return GaussianRational._of(
             self._re * other._re - self._im * other._im,
             self._re * other._im + self._im * other._re,
         )
@@ -177,7 +187,7 @@ class GaussianRational:
         norm = other.norm_squared()
         if norm == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational(
+        return GaussianRational._of(
             (self._re * other._re + self._im * other._im) / norm,
             (self._im * other._re - self._re * other._im) / norm,
         )
@@ -189,7 +199,7 @@ class GaussianRational:
         return other.__truediv__(self)
 
     def __neg__(self):
-        return GaussianRational(-self._re, -self._im)
+        return GaussianRational._of(-self._re, -self._im)
 
     def __pos__(self):
         return self

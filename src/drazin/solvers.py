@@ -5,10 +5,12 @@ A^D D B^D) with every entry produced directly as an exact ratio of minor
 sums; no inverse is formed first.  The sums come from the per-matrix
 numerator B_(r-1) of ``inverses._prepare``: column-replaced sums over the
 columns of a matrix M are the entries of B_(r-1) M, row-replaced ones
-those of M B_(r-1).  Each solution is one integer product divided by its
-denominator in the same loop: c_r for the one-sided systems, over the
-row form of A^k B or B A^k, and c_A c_B for both orders of the two-sided
-one (``matrices._divided_product``).
+those of M B_(r-1).  The products run on Z[i] forms, with the
+right-hand side scaled once for them.  Each one-sided solution is one
+integer product over the form of A^k B or B A^k divided by c_r in the
+same loop; the two-sided one keeps A^k D B^k, both intermediate
+products and both orders' undivided results as row forms, and builds
+Fractions only for the reported ``x``, ``db_columns`` and ``da_rows``.
 ``_prepare`` also applies the square check to each coefficient matrix;
 the solvers check only that the right-hand side fits.  The reported
 restriction flag states whether the right-hand side satisfies the
@@ -28,9 +30,10 @@ knows.
 The two-sided solver evaluates both available representations, one that
 reduces along B first (building the intermediate columns reported as
 ``db_columns``) and one that reduces along A first (``da_rows``), and
-checks that they agree exactly before returning.  Both orders read the
-same two numerators, so the check guards the assembly, not the minor sums;
-those are checked against the enumeration in ``minors`` by the test suite.
+checks that they agree exactly, as canonical row forms, before
+returning.  Both orders read the same two numerators, so the check
+guards the assembly, not the minor sums; those are checked against the
+enumeration in ``minors`` by the test suite.
 """
 
 from __future__ import annotations
@@ -39,7 +42,17 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .inverses import _prepare
-from .matrices import CMatrix, IndexProfile, ShapeError, _divided_product, hstack, vstack
+from .matrices import (
+    CMatrix,
+    IndexProfile,
+    ShapeError,
+    _from_rows,
+    _gaussian_integers,
+    _row_product,
+    _transposed,
+    hstack,
+    vstack,
+)
 from .scalars import GaussianRational
 
 
@@ -68,7 +81,7 @@ def solve_ax(a: CMatrix, b: CMatrix) -> SolveReport:
         raise ShapeError("right-hand side must have as many rows as A")
     prepared = _prepare(a)
     flag = hstack(prepared.power_k, b).rank() == prepared.profile.r
-    x = prepared.inverse_times(b)
+    x = prepared.inverse_times(_gaussian_integers(zip(*b.data)))
     return SolveReport(x, flag, prepared.profile, prepared.denominator)
 
 
@@ -84,7 +97,7 @@ def solve_xa(a: CMatrix, b: CMatrix) -> SolveReport:
         raise ShapeError("right-hand side must have as many columns as A")
     prepared = _prepare(a)
     flag = vstack(prepared.power_k, b).rank() == prepared.profile.r
-    x = prepared.times_inverse(b)
+    x = prepared.times_inverse(_gaussian_integers(b.data))
     return SolveReport(x, flag, prepared.profile, prepared.denominator)
 
 
@@ -103,12 +116,12 @@ def solve_axb(a: CMatrix, b: CMatrix, d: CMatrix) -> SolveReport:
     pa = _prepare(a)
     pb = _prepare(b)
     den = pa.denominator * pb.denominator
-    reduced = pa.power_k @ d @ pb.power_k
-    db = reduced @ pb.numerator
-    da = pa.numerator @ reduced
-    via_b = _divided_product(pa.numerator, db, den)
-    via_a = _divided_product(da, pb.numerator, den)
-    if via_b != via_a:
+    columns_d = _gaussian_integers(zip(*d.data))
+    reduced = _row_product(_row_product(pa.rows_k, columns_d), _transposed(pb.rows_k))
+    db = pb.row_sums(reduced)
+    da = pa.col_sums(_transposed(reduced))
+    via_b = pa.col_sums(_transposed(db))
+    if via_b != pb.row_sums(da):
         raise RuntimeError(
             "representation mismatch: the two reduction orders disagree, "
             "which signals a bug in the numerator assembly"
@@ -119,11 +132,11 @@ def solve_axb(a: CMatrix, b: CMatrix, d: CMatrix) -> SolveReport:
         and vstack(pb.power_k, d).rank() == pb.profile.r
     )
     return SolveReport(
-        via_b,
+        _from_rows(via_b, den),
         flag,
         pa.profile,
         den,
         profile_b=pb.profile,
-        db_columns=tuple(zip(*db.data)),
-        da_rows=da.data,
+        db_columns=_from_rows(_transposed(db)).data,
+        da_rows=_from_rows(da).data,
     )

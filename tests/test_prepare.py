@@ -14,7 +14,7 @@ import json
 
 import pytest
 
-from drazin import cli, inverses
+from drazin import cli, inverses, matrices, solvers
 from drazin.cli import main, matrix_to_json
 from drazin.inverses import (
     GroupIndexError,
@@ -27,7 +27,7 @@ from drazin.inverses import (
     projector_row,
     verify_drazin,
 )
-from drazin.matrices import CMatrix, ShapeError
+from drazin.matrices import CMatrix, ShapeError, hstack, vstack
 from drazin.ode import ode_left_partial, ode_right_partial
 from drazin.solvers import solve_ax, solve_axb, solve_xa
 
@@ -153,3 +153,98 @@ def test_cli_walks_each_input_once(capsys, monkeypatch, tmp_path, argv, walked, 
     assert json.loads(capsys.readouterr().out).get("all_hold", True)
     assert seen == walked
     assert read == [files[name] for name in loaded]
+
+
+# A's square check, then the other operand's shape, then the walk
+MISFITS = {
+    "verify_drazin": lambda a: verify_drazin(a, CMatrix.zeros(a.rows, a.rows + 1)),
+    "ode_left_partial": lambda a: ode_left_partial(a, CMatrix.zeros(a.rows + 1, a.rows)),
+    "ode_right_partial": lambda a: ode_right_partial(a, CMatrix.zeros(a.rows, a.rows + 1)),
+}
+
+
+def refuse_walk(a):
+    raise AssertionError("A was walked")
+
+
+@pytest.mark.parametrize("path", sorted(MISFITS))
+def test_a_misfit_operand_is_refused_before_the_walk(monkeypatch, path):
+    monkeypatch.setattr(inverses, "_walk", refuse_walk)
+    with pytest.raises(ShapeError, match="must match"):
+        MISFITS[path](A_IDX2)
+    with pytest.raises(ShapeError, match="expected a square matrix"):
+        MISFITS[path](WIDE)
+
+
+@pytest.mark.parametrize("command, operand", [("verify", "--X"), ("ode-left", "--B"),
+                                              ("ode-right", "--B")])
+def test_cli_refuses_a_misfit_operand_before_the_walk(
+    capsys, monkeypatch, tmp_path, command, operand
+):
+    a = write_matrix(tmp_path / "a.json", A_IDX2)
+    misfit = write_matrix(tmp_path / "m.json", CMatrix.zeros(3, 2))
+    monkeypatch.setattr(inverses, "_walk", refuse_walk)
+    assert main([command, "--A", a, operand, misfit]) == 5
+    assert json.loads(capsys.readouterr().out)["error"]["kind"] == "shape"
+
+
+def scaled_operands(monkeypatch, call, operands):
+    """Which operands (by name, with "^T" for a column scaling) each
+    ``_gaussian_integers`` call of ``call`` scaled, and whether it ran
+    inside the walk."""
+    seen, walking = [], []
+    original_scale, original_walk = matrices._gaussian_integers, inverses._walk
+
+    def recording_scale(vectors):
+        vectors = [tuple(v) for v in vectors]
+        names = [
+            name + suffix
+            for name, m in operands.items()
+            for suffix, form in (("", m.data), ("^T", tuple(zip(*m.data))))
+            if vectors == list(form)
+        ]
+        seen.append((names[0] if names else "?", bool(walking)))
+        return original_scale(vectors)
+
+    def flagged_walk(a):
+        walking.append(a)
+        try:
+            return original_walk(a)
+        finally:
+            walking.pop()
+
+    for module in (matrices, inverses, solvers):
+        monkeypatch.setattr(module, "_gaussian_integers", recording_scale)
+    monkeypatch.setattr(inverses, "_walk", flagged_walk)
+    call()
+    return seen
+
+
+X_IDX2 = drazin_col(A_IDX2).inverse
+POWER = A_IDX2 ** index_of(A_IDX2).k
+POWER_B = B_GRP ** index_of(B_GRP).k
+
+# (call, operands by name, expected (name, inside the walk) per scaling).
+# A is scaled once, in the walk, and every other operand once for the
+# products; the restriction flags still rank A^k stacked with the
+# right-hand side as a CMatrix, which scales that stack once more
+SCALINGS = {
+    "verify_drazin": (lambda: verify_drazin(A_IDX2, X_IDX2), {"A": A_IDX2, "X": X_IDX2},
+                      [("A", True), ("X", False)]),
+    "solve_ax": (lambda: solve_ax(A_IDX2, D_RHS),
+                 {"A": A_IDX2, "B": D_RHS, "[A^k | B]": hstack(POWER, D_RHS)},
+                 [("A", True), ("[A^k | B]", False), ("B^T", False)]),
+    "solve_xa": (lambda: solve_xa(A_IDX2, D_RHS),
+                 {"A": A_IDX2, "B": D_RHS, "[A^k ; B]": vstack(POWER, D_RHS)},
+                 [("A", True), ("[A^k ; B]", False), ("B", False)]),
+    "solve_axb": (lambda: solve_axb(A_IDX2, B_GRP, D_RHS),
+                  {"A": A_IDX2, "B": B_GRP, "D": D_RHS, "[A^k | D]": hstack(POWER, D_RHS),
+                   "[B^k ; D]": vstack(POWER_B, D_RHS)},
+                  [("A", True), ("B", True), ("D^T", False), ("[A^k | D]", False)]),
+}
+
+
+@pytest.mark.parametrize("path", sorted(SCALINGS))
+def test_each_operand_is_scaled_once(monkeypatch, path):
+    call, operands, expected = SCALINGS[path]
+    assert scaled_operands(monkeypatch, call, operands) == expected
